@@ -9,7 +9,7 @@ vectorised (numpy) view used by the EM algorithm and the baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +50,10 @@ class AnswerSet:
         self._by_worker: Dict[str, List[int]] = {}
         self._by_row: Dict[int, List[int]] = {}
         self._by_col: Dict[int, List[int]] = {}
-        # Append-only parallel buffers kept in sync by add(); they let
-        # IndexedAnswers (rebuilt on every online refit) vectorise without a
-        # per-answer Python loop.
+        # Append-only parallel buffers kept in sync by add(); arrays() hands
+        # them to IndexedAnswers (rebuilt on every online refit) and to the
+        # correlation fit (rebuilt on every poll) without a per-answer
+        # Python loop.
         self._worker_order: Dict[str, int] = {}
         self._buf_rows: List[int] = []
         self._buf_cols: List[int] = []
@@ -201,6 +202,31 @@ class AnswerSet:
                 subset.add(answer)
         return subset
 
+    def arrays(self, worker: Optional[str] = None) -> Tuple[np.ndarray, ...]:
+        """Answers as parallel ``(rows, cols, workers, values, labels)`` arrays.
+
+        Arrays are in insertion order.  ``workers`` holds first-seen worker
+        indexes; ``values`` the continuous answers (NaN for categorical
+        ones) and ``labels`` the categorical label indexes (-1 for
+        continuous ones).  With ``worker`` given, only that worker's answers
+        are returned (empty arrays for an unknown worker).
+        """
+        buffers = (
+            self._buf_rows, self._buf_cols, self._buf_workers,
+            self._buf_values, self._buf_labels,
+        )
+        if worker is not None:
+            indexes = self._by_worker.get(worker, [])
+            buffers = tuple([buffer[i] for i in indexes] for buffer in buffers)
+        rows, cols, workers, values, labels = buffers
+        return (
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(workers, dtype=np.int64),
+            np.asarray(values, dtype=float),
+            np.asarray(labels, dtype=np.int64),
+        )
+
     def indexed(self) -> "IndexedAnswers":
         """Return the vectorised view used by the numerical algorithms."""
         return IndexedAnswers(self)
@@ -224,11 +250,9 @@ class IndexedAnswers:
         self.worker_index: Dict[str, int] = {
             worker: u for u, worker in enumerate(self.worker_ids)
         }
-        self.rows = np.asarray(answers._buf_rows, dtype=np.int64)
-        self.cols = np.asarray(answers._buf_cols, dtype=np.int64)
-        self.workers = np.asarray(answers._buf_workers, dtype=np.int64)
-        self.values = np.asarray(answers._buf_values, dtype=float)
-        self.label_indices = np.asarray(answers._buf_labels, dtype=np.int64)
+        (
+            self.rows, self.cols, self.workers, self.values, self.label_indices
+        ) = answers.arrays()
         column_is_categorical = np.array(
             [column.is_categorical for column in schema.columns], dtype=bool
         )

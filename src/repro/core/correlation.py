@@ -16,12 +16,32 @@ combination of Eq. 7 weighted by the Pearson coefficients ``W_jk`` of Eq. 8.
 Errors are defined against the *estimated* truths of an
 :class:`~repro.core.inference.InferenceResult`: continuous errors are
 ``a - T^hat`` and categorical errors are 0 (correct) / 1 (wrong).
+
+The fit is columnar: it runs on every calculator build of the online loop,
+so no step loops over answers in Python.
+
+1. **Errors.** One vector expression over :meth:`AnswerSet.arrays` against
+   the result's cached :meth:`InferenceResult.estimate_grids`.
+2. **Marginals.** Column ``j``'s marginal is fitted on ``errors[cols == j]``:
+   every answer, duplicates included, in insertion order.
+3. **Groups.** Answers are grouped by (worker, row), groups ordered by their
+   first answer.  The errors go into a dense ``columns x groups`` matrix with
+   a boolean presence mask; when a worker answered a cell twice, the later
+   answer wins.
+4. **Pairs.** For each unordered column pair one mask selects the groups
+   that answered both columns; the error vectors of ``(j, k)`` and
+   ``(k, j)`` are the two matrix rows under that mask, in group order.  The
+   Pearson weight is symmetric, so it is computed once per unordered pair.
+
+These orders fix every float reduction, so the fit is a pure function of
+the answer sequence and the result: the golden trace depends on it bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -71,20 +91,34 @@ class GaussianError:
         return self.variance + self.mean**2
 
 
-def answer_error(answer: Answer, result: InferenceResult, estimate=None) -> float:
+def answer_error(answer: Answer, result: InferenceResult) -> float:
     """Error of one answer against the estimated truth.
 
     Continuous columns: ``a - T^hat``.  Categorical columns: 0 if the answer
-    matches the estimated truth, 1 otherwise.  ``estimate`` short-circuits
-    the posterior lookup when the caller already resolved ``T^hat`` for the
-    cell (the correlation fit resolves it once per cell, not per answer).
+    matches the estimated truth, 1 otherwise.  :func:`answer_errors` is the
+    vectorised form.
     """
     column = result.schema.columns[answer.col]
-    if estimate is None:
-        estimate = result.estimate(answer.row, answer.col)
+    estimate = result.estimate(answer.row, answer.col)
     if column.is_categorical:
         return 0.0 if answer.value == estimate else 1.0
     return float(answer.value) - float(estimate)
+
+
+def answer_errors(
+    result: InferenceResult,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    labels: np.ndarray,
+) -> np.ndarray:
+    """:func:`answer_error` of many answers given as :meth:`AnswerSet.arrays`."""
+    estimate_values, estimate_labels = result.estimate_grids()
+    categorical = np.array(
+        [column.is_categorical for column in result.schema.columns], dtype=bool
+    )
+    wrong = (labels != estimate_labels[rows, cols]).astype(float)
+    return np.where(categorical[cols], wrong, values - estimate_values[rows, cols])
 
 
 class _PairStats:
@@ -211,60 +245,50 @@ class AttributeCorrelationModel:
         pairs below the threshold fall back to the marginal model.
         """
         schema = answers.schema
-        errors_by_cell: Dict[Tuple[str, int, int], float] = {}
-        errors_by_col: Dict[int, List[float]] = {j: [] for j in range(schema.num_columns)}
-        # The estimated truth is shared by every answer of a cell: resolve it
-        # once per cell, not once per answer (the fit runs on every refit of
-        # the online loop).
-        estimates: Dict[Tuple[int, int], object] = {}
-        for answer in answers:
-            key = (answer.row, answer.col)
-            estimate = estimates.get(key)
-            if estimate is None:
-                estimate = result.estimate(answer.row, answer.col)
-                estimates[key] = estimate
-            error = answer_error(answer, result, estimate=estimate)
-            errors_by_cell[(answer.worker, answer.row, answer.col)] = error
-            errors_by_col[answer.col].append(error)
+        num_cols = schema.num_columns
+        categorical = [column.is_categorical for column in schema.columns]
+        rows, cols, workers, values, labels = answers.arrays()
+        errors = answer_errors(result, rows, cols, values, labels)
 
         marginals: Dict[int, object] = {}
-        for j, column in enumerate(schema.columns):
-            values = np.asarray(errors_by_col[j], dtype=float)
-            if column.is_categorical:
-                marginals[j] = BernoulliError(_bernoulli_rate(values))
+        for j in range(num_cols):
+            column_errors = errors[cols == j]
+            if categorical[j]:
+                marginals[j] = BernoulliError(_bernoulli_rate(column_errors))
             else:
-                mean, var = _gaussian_from(values, values)
+                mean, var = _gaussian_from(column_errors, column_errors)
                 marginals[j] = GaussianError(mean, var)
 
-        # Collect paired errors per ordered column pair: the same worker on
-        # the same row answered both columns.
-        paired: Dict[Tuple[int, int], Tuple[List[float], List[float]]] = {}
-        by_worker_row: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
-        for (worker, row, col), error in errors_by_cell.items():
-            by_worker_row.setdefault((worker, row), []).append((col, error))
-        for observations in by_worker_row.values():
-            for col_j, err_j in observations:
-                for col_k, err_k in observations:
-                    if col_j == col_k:
-                        continue
-                    bucket = paired.setdefault((col_j, col_k), ([], []))
-                    bucket[0].append(err_j)
-                    bucket[1].append(err_k)
+        # Group answers by (worker, row), numbered in order of first answer.
+        keys = workers * schema.num_rows + rows
+        _unique, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+        groups = rank[inverse]
+        # The last answer of each (group, column) cell wins.
+        cells = groups * num_cols + cols
+        _unique, from_end = np.unique(cells[::-1], return_index=True)
+        last = len(cells) - 1 - from_end
+        grid = np.zeros((num_cols, len(first)))
+        present = np.zeros((num_cols, len(first)), dtype=bool)
+        grid[cols[last], groups[last]] = errors[last]
+        present[cols[last], groups[last]] = True
 
         pair_models: Dict[Tuple[int, int], _PairStats] = {}
         weights: Dict[Tuple[int, int], float] = {}
-        for (col_j, col_k), (list_j, list_k) in paired.items():
-            if len(list_j) < min_pairs:
-                continue
-            ej = np.asarray(list_j, dtype=float)
-            ek = np.asarray(list_k, dtype=float)
-            pair_models[(col_j, col_k)] = _PairStats(
-                schema.columns[col_j].is_categorical,
-                schema.columns[col_k].is_categorical,
-                ej,
-                ek,
-            )
-            weights[(col_j, col_k)] = _pearson(ej, ek)
+        for j in range(num_cols):
+            for k in range(j + 1, num_cols):
+                both = present[j] & present[k]
+                count = int(np.count_nonzero(both))
+                if count == 0 or count < min_pairs:
+                    continue
+                ej = grid[j][both]
+                ek = grid[k][both]
+                pair_models[(j, k)] = _PairStats(categorical[j], categorical[k], ej, ek)
+                pair_models[(k, j)] = _PairStats(categorical[k], categorical[j], ek, ej)
+                weights[(j, k)] = weights[(k, j)] = _pearson(ej, ek)
         return cls(schema, marginals, pair_models, weights)
 
     # -- queries -------------------------------------------------------------

@@ -73,6 +73,7 @@ class InferenceResult:
 
     def __post_init__(self) -> None:
         self._worker_index = {worker: u for u, worker in enumerate(self.worker_ids)}
+        self._estimate_grids: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def iterations_run(self) -> int:
@@ -80,6 +81,46 @@ class InferenceResult:
         return self.n_iterations
 
     # -- truth estimates ----------------------------------------------------
+
+    def estimate_grids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cell's :meth:`estimate` as two dense ``(rows, cols)`` arrays.
+
+        Returns ``(values, labels)``: ``values`` holds the continuous
+        estimates (NaN in categorical columns) and ``labels`` the index of
+        the estimated label in the column's label set (-1 in continuous
+        columns).  Unanswered cells carry the prior's estimate, exactly as
+        :meth:`posterior` does.  Built on first use and cached; the result
+        is never mutated after the fit, and the cache is not a dataclass
+        field, so it stays out of serialisation and model-state hashes.
+        """
+        if self._estimate_grids is None:
+            schema = self.schema
+            categorical = np.array(
+                [column.is_categorical for column in schema.columns], dtype=bool
+            )
+            shape = (schema.num_rows, schema.num_columns)
+            values = np.broadcast_to(
+                np.where(categorical, np.nan, self.column_offset), shape
+            ).copy()
+            labels = np.broadcast_to(
+                np.where(categorical, 0, -1).astype(np.int64), shape
+            ).copy()
+            cont_rows, cont_cols, cont_means = [], [], []
+            cat_cells: Dict[int, Tuple[List[int], list]] = {}
+            for (row, col), posterior in self.posteriors.items():
+                if isinstance(posterior, GaussianPosterior):
+                    cont_rows.append(row)
+                    cont_cols.append(col)
+                    cont_means.append(posterior.mean)
+                else:
+                    cell_rows, probs = cat_cells.setdefault(col, ([], []))
+                    cell_rows.append(row)
+                    probs.append(posterior.probs)
+            values[cont_rows, cont_cols] = cont_means
+            for col, (cell_rows, probs) in cat_cells.items():
+                labels[cell_rows, col] = np.argmax(np.vstack(probs), axis=1)
+            self._estimate_grids = (values, labels)
+        return self._estimate_grids
 
     def posterior(self, row: int, col: int) -> Posterior:
         """Truth posterior of cell ``(row, col)``; prior-based if unanswered."""
@@ -97,12 +138,19 @@ class InferenceResult:
         return self.posterior(row, col).point_estimate()
 
     def estimates(self) -> Dict[Tuple[int, int], object]:
-        """Estimated truths for every cell of the table."""
-        return {
-            (i, j): self.estimate(i, j)
-            for i in range(self.schema.num_rows)
-            for j in range(self.schema.num_columns)
-        }
+        """Estimated truths for every cell of the table, row by row."""
+        values, labels = self.estimate_grids()
+        label_sets = [
+            column.labels if column.is_categorical else None
+            for column in self.schema.columns
+        ]
+        estimates: Dict[Tuple[int, int], object] = {}
+        for i, (value_row, label_row) in enumerate(zip(values.tolist(), labels.tolist())):
+            for j, label_set in enumerate(label_sets):
+                estimates[(i, j)] = (
+                    value_row[j] if label_set is None else label_set[label_row[j]]
+                )
+        return estimates
 
     # -- worker quality -----------------------------------------------------
 

@@ -25,7 +25,7 @@ from repro.core.correlation import (
     AttributeCorrelationModel,
     BernoulliError,
     GaussianError,
-    answer_error,
+    answer_errors,
 )
 from repro.core.inference import InferenceResult
 from repro.core.information_gain import InformationGainCalculator
@@ -91,31 +91,22 @@ class StructureAwareGainCalculator:
     def gains_batch(self, worker: str, cells) -> np.ndarray:
         """Structure-aware gain for many candidate cells in one pass.
 
-        The worker's observed errors are computed once per row (instead of
-        once per candidate) and the per-cell quality/variance predictions are
-        handed to :meth:`InformationGainCalculator.gains_batch` as override
-        arrays; cells without structural evidence keep ``NaN`` overrides and
-        fall back to the inherent gain, as in :meth:`gain`.
+        The worker's observed errors are computed once per call, in one
+        vector expression against the result's cached estimate grids, and
+        the per-cell quality/variance predictions are handed to
+        :meth:`InformationGainCalculator.gains_batch` as override arrays;
+        cells without structural evidence keep ``NaN`` overrides and fall
+        back to the inherent gain, as in :meth:`gain`.
         """
         cells = list(cells)
         quality_overrides = np.full(len(cells), np.nan)
         variance_overrides = np.full(len(cells), np.nan)
-        worker_rows: Dict[int, list] = {}
-        for answer in self.answers.answers_by_worker(worker):
-            worker_rows.setdefault(answer.row, []).append(answer)
-        errors_by_row: Dict[int, Dict[int, float]] = {}
+        errors_by_row = self._worker_errors(worker)
         columns = self.result.schema.columns
         for idx, (row, col) in enumerate(cells):
-            row_answers = worker_rows.get(row)
-            if not row_answers:
-                continue
             errors = errors_by_row.get(row)
             if errors is None:
-                errors = {
-                    answer.col: answer_error(answer, self.result)
-                    for answer in row_answers
-                }
-                errors_by_row[row] = errors
+                continue
             observed = {c: e for c, e in errors.items() if c != col}
             if not observed:
                 continue
@@ -135,9 +126,18 @@ class StructureAwareGainCalculator:
 
     def _observed_errors(self, worker: str, row: int, col: int) -> Dict[int, float]:
         """Errors of the worker's previous answers on other cells of ``row``."""
-        observed: Dict[int, float] = {}
-        for answer in self.answers.worker_answers_in_row(worker, row):
-            if answer.col == col:
-                continue
-            observed[answer.col] = answer_error(answer, self.result)
-        return observed
+        errors = self._worker_errors(worker).get(row, {})
+        return {c: e for c, e in errors.items() if c != col}
+
+    def _worker_errors(self, worker: str) -> Dict[int, Dict[int, float]]:
+        """The worker's answer errors as ``{row: {col: error}}``.
+
+        Columns are keyed in order of the worker's first answer to the cell
+        and hold the error of the last one, the order Eq. 7 sums in.
+        """
+        rows, cols, _workers, values, labels = self.answers.arrays(worker)
+        errors = answer_errors(self.result, rows, cols, values, labels)
+        by_row: Dict[int, Dict[int, float]] = {}
+        for row, col, error in zip(rows.tolist(), cols.tolist(), errors.tolist()):
+            by_row.setdefault(row, {})[col] = error
+        return by_row

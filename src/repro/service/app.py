@@ -38,6 +38,7 @@ validation failures additionally carry the dotted field path as
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -101,6 +102,69 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+class _NonFiniteNumber(ValueError):
+    """A ``NaN``/``Infinity`` token, or a float literal that overflows."""
+
+
+def _reject_constant(token: str):
+    raise _NonFiniteNumber(token)
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise _NonFiniteNumber(token)
+    return value
+
+
+def _decode_json(text: str):
+    """Decode a request body; a non-finite number is a 400 naming its field.
+
+    Python's decoder accepts ``NaN``, ``Infinity`` and overflowing literals
+    such as ``1e999``; none of them may reach a session.
+    """
+    try:
+        return json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float
+        )
+    except _NonFiniteNumber as exc:
+        raise _HTTPError(
+            400, f"{_non_finite_path(text)} must be a finite number, got {exc}"
+        )
+
+
+def _non_finite_path(text: str) -> str:
+    """Path (e.g. ``answers[3].value``) of the first non-finite number."""
+    marker = object()
+
+    def mark_float(token: str):
+        value = float(token)
+        return value if math.isfinite(value) else marker
+
+    def find(node, path: str):
+        if node is marker:
+            return path
+        if isinstance(node, dict):
+            children = [
+                (f"{path}.{key}" if path else key, child)
+                for key, child in node.items()
+            ]
+        elif isinstance(node, list):
+            children = [(f"{path}[{i}]", child) for i, child in enumerate(node)]
+        else:
+            return None
+        for child_path, child in children:
+            found = find(child, child_path)
+            if found is not None:
+                return found
+        return None
+
+    document = json.loads(
+        text, parse_constant=lambda token: marker, parse_float=mark_float
+    )
+    return find(document, "") or "the body"
 
 
 def _quantile(sorted_values, q: float) -> float:
@@ -458,7 +522,7 @@ class ServiceApp:
         if not raw:
             raise _HTTPError(400, "A JSON request body is required")
         try:
-            return json.loads(raw.decode("utf-8"))
+            return _decode_json(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HTTPError(400, f"Malformed JSON body: {exc}")
 

@@ -239,9 +239,8 @@ class ServedSession:
             result = self.durable.estimates()
             self.estimate_requests += 1
             estimates = {
-                f"{row},{col}": result.estimate(row, col)
-                for row in range(self.schema.num_rows)
-                for col in range(self.schema.num_columns)
+                f"{row},{col}": value
+                for (row, col), value in result.estimates().items()
             }
             return {
                 "session_id": self.session_id,

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.answers import AnswerSet
 from repro.core.schema import AttributeType, Column, TableSchema
 from repro.utils.exceptions import ConfigurationError, DataError
 
@@ -133,6 +134,18 @@ class TestTableSchema:
             schema.validate_value(0, "zzz")
         with pytest.raises(DataError):
             schema.validate_value(1, "not-a-number")
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), "nan", "-Infinity"]
+    )
+    def test_validate_value_rejects_non_finite(self, value):
+        schema = self._schema()
+        with pytest.raises(DataError, match="not finite"):
+            schema.validate_value(1, value)
+        answers = AnswerSet(schema)
+        with pytest.raises(DataError):
+            answers.add_answer("w", 0, 1, value)
+        assert len(answers) == 0
 
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(ConfigurationError):

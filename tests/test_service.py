@@ -11,6 +11,7 @@ CLI entry point.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -638,6 +639,52 @@ class TestIngestionValidationAndLimits:
             )
             assert status == 400, (payload, status, body)
             assert needle in body["error"], (needle, body)
+        client.delete_session(session_id)
+
+    def test_non_finite_values_are_400_naming_the_entry(self, client):
+        import urllib.error
+        import urllib.request
+
+        session_id = client.create_session(_config())["session_id"]
+        _seed(client, session_id)
+        answers_path = f"/sessions/{session_id}/answers"
+        ok = {"row": 0, "col": 1, "value": 5.0}
+        # json.dumps writes the NaN / Infinity / -Infinity tokens; 1e999 is
+        # valid JSON that overflows to inf on decode.
+        template = (
+            '{"worker": "w", "answers": [{"row": 0, "col": 1, "value": 5.0}, '
+            '{"row": 1, "col": 1, "value": TOKEN}]}'
+        )
+        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
+            data = template.replace("TOKEN", token).encode()
+            req = urllib.request.Request(
+                client.base_url + answers_path,
+                data=data,
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(req, timeout=10)
+            assert info.value.code == 400, data
+            error = json.loads(info.value.read())["error"]
+            assert "answers[1].value must be a finite number" in error, error
+        for value in (float("nan"), float("inf")):
+            status, body = client.request(
+                "POST", answers_path, {"worker": "w", "answers": [ok, {
+                    "row": 1, "col": 1, "value": value}]},
+            )
+            assert status == 400, body
+            assert "answers[1].value" in body["error"], body
+        # A non-numeric string that float() would turn into NaN is refused
+        # by the schema (DataError -> 400) before it reaches the log.
+        status, body = client.request(
+            "POST", answers_path,
+            {"worker": "w", "answers": [{"row": 1, "col": 1, "value": "nan"}]},
+        )
+        assert status == 400, body
+        assert "not finite" in body["error"], body
+        status, body = client.request("GET", f"/sessions/{session_id}")
+        assert body["answers_collected"] == 8, body
         client.delete_session(session_id)
 
     def test_oversized_body_is_413(self):
