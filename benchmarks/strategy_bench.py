@@ -3,14 +3,13 @@
 Two measurements feed ``BENCH_engine.json``:
 
 * :func:`verify_strategy_default_identical` — the **safety gate** for the
-  strategy seam.  For every serving mode (plain, sharded, async, composed,
-  multiprocess) the scripted golden-trace session runs twice: once with the
-  default spec (no strategy section beyond the implicit ``"paper"``) and
-  once with ``strategy = "paper"`` pinned explicitly.  Assignment sequence
-  and decision-chain head must match **bit for bit** — proving the strategy
-  plumbing added to the factory, the assigner, the coordinator wire
-  protocol and the provenance genesis is invisible when the paper strategy
-  is selected.  Hard-failed by ``run_bench.py`` and the CI perf gate.
+  strategy seam.  For both serving modes (plain and async) the scripted
+  golden-trace session runs twice: once with the default spec (no
+  strategy section beyond the implicit ``"paper"``) and once with
+  ``strategy = "paper"`` pinned explicitly.  Assignment sequence and
+  decision-chain head must match **bit for bit** — proving the strategy
+  plumbing added to the factory, the assigner and the provenance genesis
+  is invisible when the paper strategy is selected.  Hard-failed by ``run_bench.py`` and the CI perf gate.
 
 * :func:`measure_strategy_curves` — the answers-to-quality comparison.
   Every strategy runs the same seeded
@@ -172,7 +171,7 @@ def measure_strategy_curves(
 def verify_strategy_default_identical(
     scenario: Optional[dict] = None,
 ) -> Dict[str, object]:
-    """Default spec vs pinned ``strategy="paper"``, across every serving mode.
+    """Default spec vs pinned ``strategy="paper"``, across both serving modes.
 
     Compares the full assignment sequence and the decision-chain head of
     the scripted golden-trace session.  Any divergence means the strategy

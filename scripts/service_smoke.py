@@ -8,15 +8,6 @@ PR-4-dialect request, and shuts the server down cleanly (SIGINT, asserting
 the clean-shutdown message).  Exercises the same code path an operator
 would run, end to end, in a few seconds.
 
-With ``--processes N`` the smoke instead pins the **process-level serving
-path**: it creates one session with ``serving.processes = N`` (the server
-spawns real shard-worker subprocesses behind
-:class:`repro.engine.ProcessShardCoordinator`) and one in-process oracle
-session, drives both with the identical scripted RNG, and asserts the two
-sessions return bit-identical assignment sequences — cells *and* gains —
-over live HTTP.  Set ``REPRO_WORKER_LOG_DIR`` to collect the workers'
-stdout/stderr logs (CI uploads them as an artifact on failure).
-
 With ``--rotate`` the smoke pins **bounded durability** end to end, once
 per storage backend (JSONL segments and sqlite): it starts the server with
 a ``--durable-root``, creates a durable session with a deliberately tiny
@@ -40,7 +31,6 @@ recovered session serves the identical ledger record for record.
 Usage::
 
     PYTHONPATH=src python scripts/service_smoke.py
-    PYTHONPATH=src python scripts/service_smoke.py --processes 2
     PYTHONPATH=src python scripts/service_smoke.py --rotate
     PYTHONPATH=src python scripts/service_smoke.py --audit
 """
@@ -183,85 +173,6 @@ def drive_scripted_session(
         )
         collected += len(body["cells"])
     return trace
-
-
-def multiprocess_main(processes: int) -> int:
-    process = start_server()
-    try:
-        address = server_address(process)
-        print(f"server up at {address}")
-        client = ServiceClient(address, timeout=60.0)
-
-        dataset = load_celebrity(seed=7, num_rows=8)
-        schema = dataset.schema
-        base = (
-            SessionSpec.builder()
-            .model(max_iterations=4, m_step_iterations=8)
-            .policy(refit_every=1)
-        )
-        mp_spec = base.serving(processes=processes).build()
-        oracle_spec = base.serving(processes=0).build()
-
-        mp_session = client.create_session(
-            {"schema": schema_to_dict(schema), **mp_spec.to_dict()}
-        )
-        assert "processes" in mp_session["policy"], mp_session
-        print(
-            f"multiprocess session {mp_session['session_id']} created "
-            f"({mp_session['policy']})"
-        )
-        oracle_session = client.create_session(
-            {"schema": schema_to_dict(schema), **oracle_spec.to_dict()}
-        )
-        print(f"oracle session {oracle_session['session_id']} created")
-
-        extra = int(round(0.4 * schema.num_cells))
-        mp_trace = drive_scripted_session(
-            client, mp_session["session_id"], dataset, extra
-        )
-        oracle_trace = drive_scripted_session(
-            client, oracle_session["session_id"], dataset, extra
-        )
-        assert mp_trace, "multiprocess session served no assignments"
-        if mp_trace != oracle_trace:
-            for step, (got, want) in enumerate(zip(mp_trace, oracle_trace)):
-                if got != want:
-                    raise AssertionError(
-                        f"assignment sequences diverged at step {step}: "
-                        f"processes={processes} returned {got}, in-process "
-                        f"oracle returned {want}"
-                    )
-            raise AssertionError(
-                f"trace lengths differ: {len(mp_trace)} vs "
-                f"{len(oracle_trace)}"
-            )
-        print(
-            f"equivalence OK: {len(mp_trace)} assignments bit-identical "
-            f"(cells + gains) across processes={processes} and in-process"
-        )
-
-        mp_estimates = client.get_estimates(mp_session["session_id"])
-        oracle_estimates = client.get_estimates(oracle_session["session_id"])
-        assert mp_estimates["estimates"] == oracle_estimates["estimates"], (
-            "final estimates diverged between the multiprocess and "
-            "in-process sessions"
-        )
-        print("final estimates identical")
-
-        # Deleting the session must shut its shard workers down; the server
-        # then exits cleanly with no orphaned children.
-        client.delete_session(mp_session["session_id"])
-        client.delete_session(oracle_session["session_id"])
-        process.send_signal(signal.SIGINT)
-        remaining, _ = process.communicate(timeout=30)
-        if "shut down cleanly" not in remaining:
-            raise RuntimeError(f"no clean shutdown message in: {remaining!r}")
-        print("clean shutdown OK")
-        return 0
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
 
 
 def rotate_backend_pass(backend: str, root: pathlib.Path) -> None:
@@ -455,7 +366,6 @@ def audit_main() -> int:
                 SessionSpec.builder()
                 .model(max_iterations=4, m_step_iterations=8)
                 .policy(refit_every=1)
-                .sharded(2)
                 .durable(None, snapshot_every_answers=20, wal_fsync=False)
                 .build()
             )
@@ -482,7 +392,7 @@ def audit_main() -> int:
                 "client-side chain head disagrees with the served stats"
             )
             for record in records:
-                assert record["shards"], record  # sharded mode: lineage present
+                assert record["shards"], record  # lineage annotation present
             print(
                 f"client-side chain recompute OK: {len(records)} records, "
                 f"head {head[:12]}…"
@@ -576,15 +486,6 @@ def rotate_main() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        help="run the multi-process equivalence smoke instead: a "
-        "serving.processes=N session vs an in-process oracle session, "
-        "identical scripted RNG, assignment sequences asserted "
-        "bit-identical (default 0 = the standard smoke)",
-    )
-    parser.add_argument(
         "--rotate",
         action="store_true",
         help="run the bounded-durability smoke instead: durable sessions "
@@ -605,8 +506,6 @@ def main() -> int:
         return audit_main()
     if args.rotate:
         return rotate_main()
-    if args.processes >= 1:
-        return multiprocess_main(args.processes)
     process = start_server()
     try:
         address = server_address(process)
@@ -625,7 +524,6 @@ def main() -> int:
             SessionSpec.builder()
             .model(max_iterations=4, m_step_iterations=8)
             .policy(refit_every=1)
-            .sharded(2)
             .async_refit(max_stale=0)
             .build()
         )
@@ -689,7 +587,7 @@ def main() -> int:
                     "refit_every": 1,
                     "model": {"max_iterations": 4, "m_step_iterations": 8},
                 },
-                "serving": {"shards": 2, "async_refit": True,
+                "serving": {"shards": None, "async_refit": True,
                             "max_stale_answers": 0},
             }
         )
@@ -697,7 +595,7 @@ def main() -> int:
             "GET", f"/sessions/{legacy['session_id']}/config"
         )
         assert status == 200 and legacy_config["version"] == 1, legacy_config
-        assert legacy_config["serving"]["shards"] == 2, legacy_config
+        assert legacy_config["serving"]["async_refit"] is True, legacy_config
         client.delete_session(legacy["session_id"])
         print("legacy-config upgrade shim OK")
 

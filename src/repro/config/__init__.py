@@ -1,12 +1,11 @@
 """One versioned, serializable configuration API for the whole system.
 
 :class:`SessionSpec` is the single way to describe a serving session —
-policy + model options, serving mode (sharded / async / composed),
+policy + model options, serving mode (incremental or async refit),
 durability, and simulation budget — consumed by every entry point:
 
 * ``CrowdsourcingSession.from_spec(dataset, spec)`` (the platform
-  simulator; legacy keyword arguments adapt via
-  :meth:`SessionSpec.from_legacy_kwargs` with ``DeprecationWarning``);
+  simulator);
 * ``measure_engine_speedup(spec=...)`` and ``benchmarks/run_bench.py``;
 * the HTTP service: ``POST /sessions`` takes a v1 spec body (the PR-4
   dialect upgrades via :func:`upgrade_legacy_config`), the canonical spec
@@ -14,12 +13,13 @@ durability, and simulation budget — consumed by every entry point:
   ``GET /sessions/{id}/config``.
 
 :mod:`repro.config.factory` turns specs into live policies (the shared
-wrapper-selection table); ``python -m repro.config.validate`` checks spec
+serving-mode switch); ``python -m repro.config.validate`` checks spec
 JSON files from the command line.
 """
 
 from repro.config.spec import (
     ENVELOPE_KEYS,
+    REMOVED_SERVING_FIELDS,
     SPEC_VERSION,
     STRATEGY_NAMES,
     DurabilitySpec,
@@ -37,6 +37,7 @@ from repro.config.spec import (
 
 __all__ = [
     "ENVELOPE_KEYS",
+    "REMOVED_SERVING_FIELDS",
     "SPEC_VERSION",
     "STRATEGY_NAMES",
     "DurabilitySpec",

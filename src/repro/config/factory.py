@@ -1,7 +1,7 @@
 """Build live policy objects from a :class:`~repro.config.SessionSpec`.
 
-This is the **single** wrapper-selection point of the codebase.  The same
-serving table used to be duplicated (with drifting defaults) between
+This is the **single** serving-mode switch of the codebase.  The same
+table used to be duplicated (with drifting defaults) between
 ``platform/session.py``, ``service/registry.build_policy`` and the
 benchmark drivers; they all call :func:`wrap_policy` now:
 
@@ -9,10 +9,7 @@ benchmark drivers; they all call :func:`wrap_policy` now:
 ``serving`` section       policy served
 ========================  =============================================
 defaults                  the plain incremental assigner, unwrapped
-``shards`` > 1 only       :class:`~repro.engine.ShardedAssignmentPolicy`
-``async_refit`` only      :class:`~repro.engine.AsyncRefitPolicy`
-both                      :class:`~repro.engine.ShardedAsyncPolicy`
-``processes`` >= 1        :class:`~repro.engine.ProcessShardCoordinator`
+``async_refit``           :class:`~repro.engine.AsyncRefitPolicy`
 ========================  =============================================
 """
 
@@ -60,55 +57,28 @@ def wrap_policy(
 ) -> AssignmentPolicy:
     """Wrap ``policy`` in the serving mode a :class:`ServingSpec` picks.
 
-    Returns ``policy`` itself for the default (unsharded, synchronous)
-    spec.  Wrapped policies own background threads — callers that create
-    them are responsible for ``close()``.
+    Returns ``policy`` itself for the default (synchronous) spec.  The
+    async wrapper owns a background refit thread — callers that create it
+    are responsible for ``close()``.
 
     Parameters
     ----------
     policy:
-        The base policy.  Serving wrappers require a
-        :class:`TCrowdAssigner` (they reuse its model, refit cadence and
+        The base policy.  The async wrapper requires a
+        :class:`TCrowdAssigner` (it reuses its model, refit cadence and
         gain configuration).
     serving:
         The serving section of a spec.
     clock:
-        Optional :class:`~repro.engine.VirtualClock` for the async modes —
+        Optional :class:`~repro.engine.VirtualClock` for the async mode —
         deterministic synchronous refits for tests and replay harnesses.
     """
-    if not serving.wants_wrapper:
+    if not serving.async_refit:
         return policy
     if not isinstance(policy, TCrowdAssigner):
         raise ConfigurationError(
-            "serving.shards > 1 / serving.async_refit / serving.processes "
-            f">= 1 require a TCrowdAssigner policy, got {type(policy).__name__}"
-        )
-    if serving.processes >= 1:
-        from repro.engine import ProcessShardCoordinator
-
-        return ProcessShardCoordinator(
-            policy,
-            processes=serving.processes,
-            num_shards=max(serving.shards, serving.processes),
-        )
-    if serving.shards > 1 and serving.async_refit:
-        from repro.engine import ShardedAsyncPolicy
-
-        return ShardedAsyncPolicy(
-            policy,
-            num_shards=serving.shards,
-            max_workers=serving.shard_workers,
-            max_stale_answers=serving.max_stale_answers,
-            scoring_cache=serving.scoring_cache,
-            clock=clock,
-        )
-    if serving.shards > 1:
-        from repro.engine import ShardedAssignmentPolicy
-
-        return ShardedAssignmentPolicy(
-            policy,
-            num_shards=serving.shards,
-            max_workers=serving.shard_workers,
+            "serving.async_refit requires a TCrowdAssigner policy, got "
+            f"{type(policy).__name__}"
         )
     from repro.engine import AsyncRefitPolicy
 

@@ -1,8 +1,8 @@
 """The versioned ``SessionSpec``: one serializable description of a session.
 
-Every serving mode the engine grew in PRs 1-4 (incremental, sharded,
-async-refit, composed, durable) used to be wired through a different ad-hoc
-surface: ``CrowdsourcingSession.__init__`` keyword arguments, the
+The serving configurations of the engine (incremental or async-refit,
+in memory or durable) used to be wired through different ad-hoc surfaces:
+``CrowdsourcingSession.__init__`` keyword arguments, the
 ``measure_engine_speedup`` benchmark knobs (with *different* defaults),
 hand-mapped CLI flags in ``benchmarks/run_bench.py``, and the JSON dialect
 of ``POST /sessions``.  This module replaces all of them with one typed,
@@ -18,15 +18,15 @@ The spec is the unit that crosses boundaries: it round-trips through
 the same ``repr``-based discipline as the WAL codec in
 :mod:`repro.service.wal`), it is pinned to ``session.json`` inside durable
 directories, it is the body of ``POST /sessions`` and the response of
-``GET /sessions/{id}/config`` — and, being plain data, it can ship across a
-process boundary next to the ``(epoch, answers_seen)`` snapshot protocol,
-which is what the process-level sharding follow-up in ROADMAP.md needs.
+``GET /sessions/{id}/config``.
 
 Validation is strict and **path-qualified**: every violation raises a
 :class:`SpecValidationError` (a :class:`~repro.utils.exceptions.ConfigurationError`)
 whose message starts with the dotted field path, e.g.
-``serving.shards must be >= 1, got 0`` — the HTTP API surfaces the path in
-its 400 responses.  Unknown fields are rejected, never ignored.
+``serving.max_stale_answers must be >= 0 or null, got -1`` — the HTTP API
+surfaces the path in its 400 responses.  Unknown fields are rejected, never
+ignored, and so are the fields of serving modes that no longer exist
+(:data:`REMOVED_SERVING_FIELDS`).
 
 This module deliberately imports nothing heavy (no numpy, no engine code):
 ``python -m repro.config.validate`` must run in a lint-only environment.
@@ -47,6 +47,13 @@ from repro.utils.exceptions import ConfigurationError
 #: upgrade shim from every older version (the PR-4 service dialect upgrades
 #: via :func:`upgrade_legacy_config`).
 SPEC_VERSION = 1
+
+#: ``serving`` fields of the sharded and multi-process modes, which were
+#: removed: every one of them was bit-identical to in-process serving.  A
+#: spec naming one is refused (path-qualified), never silently ignored;
+#: durable manifests written before the removal drop them on load (see
+#: :mod:`repro.service.registry`).
+REMOVED_SERVING_FIELDS = ("shards", "shard_workers", "processes", "scoring_cache")
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -390,15 +397,15 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ServingSpec:
-    """How the policy is served: sharding, async refits, staleness.
+    """How the policy is served: async refits, staleness, auditing.
 
     ``max_stale_answers`` semantics (the **single** definition — the
     platform session and the benchmarks used to disagree on the default):
 
     * ``0`` (the default) — *blocking*: every select waits until the model
       has seen every collected answer, which replays the synchronous
-      session bit for bit.  This is the mode all recorded equivalence bits
-      (``identical_assignments_async`` / ``..._sharded_async``) pin.
+      session bit for bit.  This is the mode the recorded equivalence bit
+      ``identical_assignments_async`` pins.
     * a positive bound — *bounded staleness*: selects score against the
       latest published snapshot as long as it trails the collected answers
       by at most this many; only a staler snapshot blocks.  The production
@@ -409,18 +416,6 @@ class ServingSpec:
     warm-started serving refits (``TCrowdAssigner(refit_tol=...)``); it
     lives here rather than in :class:`PolicySpec` because it tunes the
     serving loop, not the paper's algorithm.
-
-    ``scoring_cache`` (composed mode only) reuses the snapshot-derived gain
-    calculator across selects, keyed by ``(epoch, answers_seen)``; the
-    cache is behaviour-neutral (a hit requires the exact inputs a rebuild
-    would use) and exists purely as an escape hatch for debugging.
-
-    ``processes`` moves the scoring/refit workers out of process: ``0``
-    (the default) keeps every serving mode in-process; ``N >= 1`` spawns
-    ``N`` shard-group worker processes behind a coordinator
-    (:class:`repro.engine.coordinator.ProcessShardCoordinator`).  The
-    effective shard count is ``max(shards, processes)`` so every worker
-    owns at least one contiguous shard range.
 
     ``audit`` (default on) records every select into the session's
     decision-provenance ledger
@@ -433,22 +428,14 @@ class ServingSpec:
 
     _SECTION: ClassVar[str] = "serving"
 
-    shards: int = 1
-    shard_workers: Optional[int] = None
     async_refit: bool = False
     max_stale_answers: Optional[int] = 0
     refit_tol: Optional[float] = None
-    scoring_cache: bool = True
-    processes: int = 0
     audit: bool = True
 
     def __post_init__(self) -> None:
         s = self._SECTION
         set_ = object.__setattr__
-        set_(self, "shards", _check_int(f"{s}.shards", self.shards, 1))
-        set_(self, "shard_workers",
-             _check_int(f"{s}.shard_workers", self.shard_workers, 1,
-                        optional=True))
         set_(self, "async_refit",
              _check_bool(f"{s}.async_refit", self.async_refit))
         set_(self, "max_stale_answers",
@@ -457,45 +444,29 @@ class ServingSpec:
         set_(self, "refit_tol",
              _check_float(f"{s}.refit_tol", self.refit_tol, 0.0,
                           exclusive=True, optional=True))
-        set_(self, "scoring_cache",
-             _check_bool(f"{s}.scoring_cache", self.scoring_cache))
-        set_(self, "processes",
-             _check_int(f"{s}.processes", self.processes, 0))
         set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
-        if self.processes and self.async_refit:
-            raise SpecValidationError(
-                f"{s}.async_refit",
-                "must be false when serving.processes >= 1 (worker "
-                "processes own their refit schedule; the in-process async "
-                "engine would race it)",
-            )
-
-    @property
-    def wants_wrapper(self) -> bool:
-        """True when a serving wrapper (sharded/async/composed) is needed."""
-        return self.async_refit or self.shards > 1 or self.processes >= 1
 
     def describe(self) -> str:
-        """Human-readable serving mode, e.g. ``sharded x4 + async refit``."""
-        parts = []
-        if self.processes >= 1:
-            parts.append(f"multiprocess x{self.processes}")
-        if self.shards > 1:
-            parts.append(f"sharded x{self.shards}")
-        if self.async_refit:
-            stale = (
-                "unbounded"
-                if self.max_stale_answers is None
-                else self.max_stale_answers
-            )
-            parts.append(f"async refit (max_stale={stale})")
-        return " + ".join(parts) if parts else "incremental"
+        """Human-readable serving mode, e.g. ``async refit (max_stale=64)``."""
+        if not self.async_refit:
+            return "incremental"
+        stale = (
+            "unbounded" if self.max_stale_answers is None else self.max_stale_answers
+        )
+        return f"async refit (max_stale={stale})"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingSpec":
+        if isinstance(payload, dict):
+            for key in REMOVED_SERVING_FIELDS:
+                if key in payload:
+                    raise SpecValidationError(
+                        f"{cls._SECTION}.{key}",
+                        "was removed (in-process serving only)",
+                    )
         _reject_unknown(cls._SECTION, payload, _field_names(cls))
         return cls(**payload)
 
@@ -687,25 +658,11 @@ class SessionSpec:
                 raise SpecValidationError(
                     name, f"must be a {name} object, got {getattr(self, name)!r}"
                 )
-        if self.serving.shards > 1 and self.policy.continuous_samples:
-            raise SpecValidationError(
-                "policy.continuous_samples",
-                "must be 0 when serving.shards > 1 (the Monte-Carlo gain "
-                "estimator consumes an ordered sample stream that sharding "
-                "would reorder)",
-            )
         if self.serving.async_refit and self.policy.continuous_samples:
             raise SpecValidationError(
                 "policy.continuous_samples",
                 "must be 0 when serving.async_refit is true (background "
                 "refits would reorder the Monte-Carlo sample stream)",
-            )
-        if self.serving.processes >= 1 and self.policy.continuous_samples:
-            raise SpecValidationError(
-                "policy.continuous_samples",
-                "must be 0 when serving.processes >= 1 (each worker "
-                "process draws its own Monte-Carlo sample stream, which "
-                "would diverge from the single-process stream)",
             )
 
     # -- codecs ---------------------------------------------------------------
@@ -747,7 +704,7 @@ class SessionSpec:
     def builder() -> "SessionSpecBuilder":
         """A fluent builder::
 
-            SessionSpec.builder().sharded(4).async_refit(max_stale=64) \\
+            SessionSpec.builder().async_refit(max_stale=64) \\
                        .durable(root).build()
         """
         return SessionSpecBuilder()
@@ -767,60 +724,6 @@ class SessionSpec:
             text += " [durable]"
         return text
 
-    # -- legacy adapters ------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        *,
-        target_answers_per_task: float = 5.0,
-        initial_answers_per_task: int = 1,
-        batch_size: Optional[int] = None,
-        eval_every_answers_per_task: float = 0.5,
-        seed=None,
-        max_steps: Optional[int] = None,
-        shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
-        async_refit: bool = False,
-        max_stale_answers: Optional[int] = 0,
-        durable_dir=None,
-        snapshot_every_answers: int = 200,
-        wal_fsync: bool = False,
-    ) -> "SessionSpec":
-        """Adapt the pre-spec ``CrowdsourcingSession`` keyword surface.
-
-        The defaults are the session's historical defaults — in particular
-        ``max_stale_answers=0`` (blocking), the value this spec adopted as
-        the unified default (see :class:`ServingSpec`).  ``shards`` of
-        ``None``/``0``/``1`` all mean "unsharded".  The session's RNG seed
-        may be any value :func:`repro.utils.rng.as_generator` accepts, so
-        it is only recorded when it is a plain non-negative integer.
-        """
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            seed = None
-        return cls(
-            serving=ServingSpec(
-                shards=shards if shards else 1,
-                shard_workers=shard_workers,
-                async_refit=bool(async_refit),
-                max_stale_answers=max_stale_answers,
-            ),
-            durability=DurabilitySpec(
-                durable_dir=(
-                    None if durable_dir is None else os.fspath(durable_dir)
-                ),
-                snapshot_every_answers=snapshot_every_answers,
-                wal_fsync=bool(wal_fsync),
-            ),
-            simulation=SimulationSpec(
-                target_answers_per_task=target_answers_per_task,
-                initial_answers_per_task=initial_answers_per_task,
-                batch_size=batch_size,
-                eval_every_answers_per_task=eval_every_answers_per_task,
-                seed=seed,
-                max_steps=max_steps,
-            ),
-        )
 
 
 # -- fluent builder -----------------------------------------------------------
@@ -857,13 +760,6 @@ class SessionSpecBuilder:
     def serving(self, **options) -> "SessionSpecBuilder":
         """Set :class:`ServingSpec` fields directly."""
         self._serving.update(options)
-        return self
-
-    def sharded(self, shards: int, workers: Optional[int] = None) -> "SessionSpecBuilder":
-        """Serve through a partitioned candidate pool of ``shards`` shards."""
-        self._serving["shards"] = shards
-        if workers is not None:
-            self._serving["shard_workers"] = workers
         return self
 
     def async_refit(
@@ -958,8 +854,8 @@ def upgrade_legacy_config(config: dict) -> dict:
       ``snapshot_every``, ``fsync``) instead of a ``durability`` section
       (``durable_dir``, ``snapshot_every_answers``, ``wal_fsync``);
     * ``refit_tol`` under ``policy`` instead of ``serving``;
-    * ``serving.shards`` could be ``null`` to mean "unsharded" (v1 says
-      ``1``).
+    * ``serving.shards`` could be ``null`` to mean "unsharded" (dropped
+      here; any other ``serving.shards`` is refused like in v1).
 
     Returns the equivalent v1 body (envelope keys preserved); raises
     :class:`SpecValidationError` for keys neither dialect defines.

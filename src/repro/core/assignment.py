@@ -29,8 +29,6 @@ the only path the equivalence benchmark exercises) is unaffected.
 from __future__ import annotations
 
 import abc
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,6 +39,7 @@ from repro.core.inference import InferenceResult, TCrowdModel
 from repro.core.information_gain import InformationGainCalculator
 from repro.core.schema import TableSchema
 from repro.core.structure_gain import StructureAwareGainCalculator
+from repro.engine.profiling import stage as _stage
 from repro.engine.state import SessionState
 from repro.utils.exceptions import AssignmentError
 from repro.utils.rng import as_generator
@@ -96,54 +95,8 @@ def top_k_stable(gains: np.ndarray, k: int) -> np.ndarray:
     return head[np.argsort(-gains[head], kind="stable")][:k]
 
 
-def merge_top_k_stable(parts: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Global stable top-``k`` over the virtual concatenation of ``parts``.
-
-    Each part is a gains array over a contiguous block of the global
-    candidate list (the sharded engine scores one block per shard).  The
-    global winners are found without materialising the concatenation: every
-    global top-``k`` element must sit in its own part's stable top-``k``
-    (anything a part drops is tied-or-worse *and* later in index order than
-    ``k`` elements of that same part), so a heap merge of the per-part heads
-    by ``(-gain, global index)`` reproduces :func:`top_k_stable` over
-    ``np.concatenate(parts)`` bit for bit.
-
-    ``k == 1`` short-circuits the heap entirely: the global winner is the
-    best of the per-part winners, compared by the same ``(-gain, global
-    index)`` key, so one :func:`min` over at most ``len(parts)`` candidates
-    replaces the merge.
-    """
-    if k == 1:
-        best: Optional[Tuple[float, int]] = None
-        offset = 0
-        for gains in parts:
-            if len(gains):
-                local = int(top_k_stable(np.asarray(gains), 1)[0])
-                key = (-float(gains[local]), offset + local)
-                if best is None or key < best:
-                    best = key
-            offset += len(gains)
-        if best is None:
-            return np.zeros(0, dtype=np.int64)
-        return np.array([best[1]], dtype=np.int64)
-    heads = []
-    offset = 0
-    for gains in parts:
-        if len(gains):
-            local = top_k_stable(np.asarray(gains), k)
-            heads.append(
-                [(-float(gains[i]), offset + int(i)) for i in local]
-            )
-        offset += len(gains)
-    merged = heapq.merge(*heads)
-    return np.fromiter(
-        (index for _neg_gain, index in itertools.islice(merged, k)),
-        dtype=np.int64,
-    )
-
-
 def _single_shard_lineage(candidates: int, assignment) -> Tuple[dict, ...]:
-    """The one-shard lineage annotation of an unsharded select."""
+    """The single-block ``shards`` lineage annotation of an in-process select."""
     return (
         {
             "shard": 0,
@@ -202,9 +155,9 @@ class AssignmentPolicy(abc.ABC):
     def set_recorder(self, recorder) -> None:
         """Attach a :class:`~repro.engine.DecisionRecorder` (None detaches).
 
-        Attached to the *outermost* serving policy only — wrappers record
-        the merged decision themselves instead of forwarding the recorder
-        to their inner assigner, so each select yields exactly one record.
+        Attached to the *outermost* serving policy only — the async wrapper
+        records its decision itself instead of forwarding the recorder to
+        its inner assigner, so each select yields exactly one record.
         """
         self._recorder = recorder
 
@@ -221,7 +174,6 @@ class AssignmentPolicy(abc.ABC):
         answers_total: int,
         candidates: int,
         result=None,
-        model_hash=None,
         shards: Sequence[dict] = (),
     ) -> None:
         """Chain one audit record if a recorder is attached (else no-op)."""
@@ -232,7 +184,6 @@ class AssignmentPolicy(abc.ABC):
                 answers_total=answers_total,
                 candidates=candidates,
                 result=result,
-                model_hash=model_hash,
                 shards=shards,
             )
 
@@ -325,9 +276,9 @@ class TCrowdAssigner(AssignmentPolicy):
         *what scores candidate cells* (``None``, the default, is the
         paper's gain — byte-for-byte the pre-strategy behaviour).  The
         strategy only replaces the calculator built by
-        :meth:`_build_calculator`; candidate filtering, refit cadence,
-        stable top-K / shard merge and provenance stay shared, which is
-        why any strategy serves identically through every serving mode.
+        :meth:`calculator_for`; candidate filtering, refit cadence,
+        stable top-K and provenance stay shared, which is why any strategy
+        serves identically through both serving modes.
         This module never imports the strategies package — the factory
         (:func:`repro.config.factory.build_assigner`) builds the object
         from ``PolicySpec.strategy`` and injects it here.
@@ -395,23 +346,6 @@ class TCrowdAssigner(AssignmentPolicy):
 
     # -- policy ---------------------------------------------------------------
 
-    def prepare_scoring(self, answers: AnswerSet):
-        """Refit if stale and return the gain calculator for ``answers``.
-
-        Convenience composition of the two real seams —
-        :meth:`_ensure_result` (the refit cadence) and
-        :meth:`_build_calculator` (what scores are computed with).  Every
-        serving mode goes through those two: the vectorized :meth:`select`
-        calls them via :meth:`rank_candidates`, the scalar path and the
-        sharded wrapper (:class:`~repro.engine.ShardedAssignmentPolicy`)
-        call this method, and the async policy substitutes a snapshot
-        result into the same :meth:`rank_candidates`.  None of the paths
-        can diverge on *when* they refit or *what* they score with — the
-        precondition for their bit-identical decisions.
-        """
-        result = self._ensure_result(answers)
-        return self._build_calculator(result, answers)
-
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
         """Assign the top-``k`` candidate cells by information gain."""
         if k < 1:
@@ -419,11 +353,10 @@ class TCrowdAssigner(AssignmentPolicy):
         candidates = self.candidate_cells(worker, answers)
         if not candidates:
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
+        calculator = self.calculator_for(self._ensure_result(answers), answers)
         if self.vectorized:
-            result = self._ensure_result(answers)
-            assignment = self.rank_candidates(result, worker, answers, candidates, k)
+            assignment = self.rank_candidates(calculator, worker, candidates, k)
         else:
-            calculator = self.prepare_scoring(answers)
             gains = {
                 cell: calculator.gain(worker, cell[0], cell[1])
                 for cell in candidates
@@ -446,23 +379,24 @@ class TCrowdAssigner(AssignmentPolicy):
 
     def rank_candidates(
         self,
-        result: InferenceResult,
+        calculator,
         worker: str,
-        answers: AnswerSet,
         candidates: List[Cell],
         k: int,
+        profile=None,
     ) -> BatchAssignment:
-        """Vectorised stable top-``k`` over ``candidates`` scored with ``result``.
+        """Vectorised stable top-``k`` over ``candidates`` scored by ``calculator``.
 
-        The one scoring block shared by every serving mode that brings its
-        own inference result — :meth:`select` (the result of the policy's
-        own refit cadence) and the async policy (a
-        :class:`~repro.engine.ModelSnapshot`'s result) — so ranking and
-        tie-breaking cannot drift between them.
+        The one ranking block shared by both serving modes — :meth:`select`
+        (a calculator over the policy's own refit) and the async policy (a
+        cached calculator over a :class:`~repro.engine.ModelSnapshot`) — so
+        ranking and tie-breaking cannot drift between them.  ``profile``
+        optionally times the ``gains_batch`` and ``top_k_merge`` stages.
         """
-        calculator = self._build_calculator(result, answers)
-        gains = calculator.gains_batch(worker, candidates)
-        order = top_k_stable(gains, k)
+        with _stage(profile, "gains_batch"):
+            gains = calculator.gains_batch(worker, candidates)
+        with _stage(profile, "top_k_merge"):
+            order = top_k_stable(gains, k)
         cells = tuple(candidates[index] for index in order)
         values = tuple(float(gains[index]) for index in order)
         return BatchAssignment(worker, cells, values)
@@ -470,17 +404,6 @@ class TCrowdAssigner(AssignmentPolicy):
     def observe(self, answers: AnswerSet) -> None:
         """Refresh truth inference if enough new answers arrived."""
         self._ensure_result(answers)
-
-    def calculator_for(self, result: InferenceResult, answers: AnswerSet):
-        """Gain calculator scoring with an externally supplied ``result``.
-
-        The public seam used by serving modes that bring their own inference
-        result — the sharded scorer reading async
-        :class:`~repro.engine.ModelSnapshot`s builds its per-shard
-        calculator here, so its scores come from exactly the same
-        calculator construction as :meth:`rank_candidates`.
-        """
-        return self._build_calculator(result, answers)
 
     def final_result(self, answers: AnswerSet) -> InferenceResult:
         """Truth inference over *all* of ``answers`` (end-of-session estimates).
@@ -541,15 +464,16 @@ class TCrowdAssigner(AssignmentPolicy):
             self._answers_at_last_fit = len(answers)
         return self._result
 
-    def _build_calculator(self, result: InferenceResult, answers: AnswerSet):
-        """The calculator scoring this state — strategy-aware dispatcher.
+    def calculator_for(self, result: InferenceResult, answers: AnswerSet):
+        """The gain calculator scoring ``answers`` with ``result``.
 
-        Every serving mode funnels scoring through here (directly, via
-        :meth:`prepare_scoring`, :meth:`rank_candidates` or
-        :meth:`calculator_for`), so swapping the strategy swaps scoring
-        for *all* of them at once while everything around the scores —
-        candidate filtering, stable top-K, shard merge, provenance —
-        stays shared.
+        The strategy-aware dispatcher both serving modes build their
+        calculator through — :meth:`select` with the result of its own
+        refit cadence, the async policy with a
+        :class:`~repro.engine.ModelSnapshot`'s result — so swapping the
+        strategy swaps scoring for both at once while everything around
+        the scores — candidate filtering, stable top-K, provenance — stays
+        shared.
         """
         if self.strategy is not None:
             return self.strategy.build_calculator(self, result, answers)
@@ -560,7 +484,7 @@ class TCrowdAssigner(AssignmentPolicy):
 
         Public so composing strategies (``budget_voi``, ``epsilon_greedy``
         with a ``paper`` base) can reach the inner gain without recursing
-        through the strategy dispatch of :meth:`_build_calculator`.
+        through the strategy dispatch of :meth:`calculator_for`.
         """
         if self.use_structure:
             return StructureAwareGainCalculator(

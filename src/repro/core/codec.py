@@ -22,7 +22,7 @@ from repro.core.inference import InferenceResult
 from repro.core.posteriors import CategoricalPosterior, GaussianPosterior
 from repro.core.schema import TableSchema
 from repro.core.worker_model import WorkerModel
-from repro.utils.exceptions import DurabilityError
+from repro.utils.exceptions import DurabilityError, InferenceError
 
 
 def serialize_result(result: InferenceResult) -> dict:
@@ -98,8 +98,18 @@ def canonical_json(payload) -> str:
 
     Floats encode via ``repr`` (the stdlib default), so bit-identical
     doubles — and only bit-identical doubles — produce identical text.
+    ``NaN``/``Infinity`` are not JSON: a payload carrying one raises
+    :class:`~repro.utils.exceptions.InferenceError`, so a model that EM
+    left non-finite is never hashed into a decision.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as exc:
+        raise InferenceError(
+            f"cannot hash a payload holding a non-finite number: {exc}"
+        ) from exc
 
 
 def payload_hash(payload) -> str:

@@ -8,30 +8,24 @@ indexes updated O(1) per new answer so that the per-step cost of the online
 loop is driven by the (warm-started) EM refit and one vectorised gain pass.
 
 Layering: ``core`` holds the paper's algorithms, ``engine`` holds the
-incremental session state those algorithms consult in the online loop, and
-``platform`` / ``experiments`` drive both.  Future scaling work (sharding the
-candidate pool, async refits, multi-backend state) plugs in here.
+incremental session state those algorithms consult in the online loop, the
+asynchronous refit worker that serves them from model snapshots, and the
+decision ledger; ``platform`` / ``experiments`` drive both.
 """
 
 from repro.engine.state import SessionState
 
 __all__ = [
     "SessionState",
-    "ShardedSessionState",
-    "ShardedAssignmentPolicy",
-    "ShardedAsyncPolicy",
     "AsyncRefitEngine",
     "AsyncRefitPolicy",
     "DecisionRecord",
     "DecisionRecorder",
     "HotPathProfile",
     "ModelSnapshot",
-    "ProcessShardCoordinator",
-    "ShardGroupScorer",
     "VirtualClock",
 ]
 
-_SHARDING_EXPORTS = ("ShardedSessionState", "ShardedAssignmentPolicy")
 _PROFILING_EXPORTS = ("HotPathProfile",)
 _PROVENANCE_EXPORTS = ("DecisionRecord", "DecisionRecorder")
 _REFIT_EXPORTS = (
@@ -40,30 +34,16 @@ _REFIT_EXPORTS = (
     "ModelSnapshot",
     "VirtualClock",
 )
-_COMPOSED_EXPORTS = ("ShardedAsyncPolicy",)
-_COORDINATOR_EXPORTS = ("ProcessShardCoordinator", "ShardGroupScorer")
 
 
 def __getattr__(name):
     # Lazy so that ``core.assignment → engine.state → engine.__init__`` does
-    # not re-enter ``core.assignment`` (sharding and the async refit worker
-    # build on the policy base classes) while it is still half-initialised.
-    if name in _SHARDING_EXPORTS:
-        from repro.engine import sharding
-
-        return getattr(sharding, name)
+    # not re-enter ``core.assignment`` (the async refit worker builds on the
+    # policy base classes) while it is still half-initialised.
     if name in _REFIT_EXPORTS:
         from repro.engine import refit_worker
 
         return getattr(refit_worker, name)
-    if name in _COMPOSED_EXPORTS:
-        from repro.engine import composed
-
-        return getattr(composed, name)
-    if name in _COORDINATOR_EXPORTS:
-        from repro.engine import coordinator
-
-        return getattr(coordinator, name)
     if name in _PROFILING_EXPORTS:
         from repro.engine import profiling
 

@@ -14,8 +14,8 @@ task *t*?" after the fact:
   discipline, see :mod:`repro.core.codec`), and the staleness at decision
   time (``answers_total - answers_seen``);
 * candidate-set provenance — the worker's open candidate-pool size and,
-  as unhashed annotations, the per-shard candidate counts and each
-  shard's contributed winners with their gains;
+  as an unhashed ``shards`` lineage annotation, the candidate count and
+  the winners with their gains (one block: serving is in-process);
 * a session-level **chained reproducibility hash**: each record's
   ``record_hash`` covers the previous record's hash ledger-style, so the
   chain head alone pins the whole decision history of a session.
@@ -23,15 +23,14 @@ task *t*?" after the fact:
 Two hashing scopes, deliberately:
 
 * ``record_hash`` covers the *core* payload — the decision and the model
-  state that produced it.  Those fields are identical across every
-  serving mode (plain / sharded / async at ``max_stale_answers=0`` /
-  composed / multi-process), which is exactly the equivalence guarantee;
-  the golden-trace audit matrix asserts the chain head matches across
-  all of them.
-* The ``shards`` annotations describe *how* the candidates were merged —
-  deployment topology, which legitimately varies between a single-shard
-  and an 8-shard serving of the same session — so they ride the record
-  but stay outside the hash.
+  state that produced it.  Those fields are identical across both
+  serving modes (plain, and async at ``max_stale_answers=0``), which is
+  exactly the equivalence guarantee; the golden-trace audit matrix
+  asserts the chain head matches across them.
+* The ``shards`` annotation describes *how* the candidates were ranked —
+  serving topology, not the decision — so it rides the record but stays
+  outside the hash, which keeps every ledger page byte-identical to the
+  ones written while sharded serving existed.
 
 ``epoch`` here is the audit epoch: the index of the distinct model state
 serving the decision stream (it increments whenever ``answers_seen``
@@ -263,8 +262,7 @@ class DecisionRecorder:
         """Chain one select's record (``assignment`` is a BatchAssignment).
 
         Pass either the serving ``result`` (hashed here, cached per
-        ``answers_seen``) or a precomputed ``model_hash`` (the
-        multi-process coordinator, whose workers hash their own state).
+        ``answers_seen``) or a precomputed ``model_hash``.
         In replay mode the record is computed but *not* committed — it is
         held for comparison against the logged record that follows.
         """

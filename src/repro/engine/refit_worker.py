@@ -24,7 +24,8 @@ on EM.  This module is that worker:
   sleeps or races.
 * :class:`AsyncRefitPolicy` — the policy wrapper plugging the engine behind
   the same :class:`~repro.core.assignment.AssignmentPolicy` seam the
-  platform loop already drives.
+  platform loop already drives, with a snapshot-keyed cache of the gain
+  calculator so repeat selects against an unchanged model skip the rebuild.
 
 The bounded-staleness contract: with ``max_stale_answers=0`` no background
 refit is ever scheduled and every select blocks until the model is within
@@ -354,8 +355,8 @@ class AsyncRefitEngine:
 
         Returning the whole :class:`ModelSnapshot` (rather than just its
         result) gives callers a consistent ``(epoch, result,
-        answers_seen)`` read off one atomic reference — the key the
-        composed policy's scoring cache is indexed by.
+        answers_seen)`` read off one atomic reference — the epoch keys
+        :class:`AsyncRefitPolicy`'s scoring cache.
         """
         self._raise_background_error()
         snapshot = self._snapshot
@@ -467,6 +468,14 @@ class AsyncRefitPolicy(AssignmentPolicy):
     difference to the synchronous policy is *which* inference result scores
     a select, exactly as bounded by ``max_stale_answers``.
 
+    The calculator is a pure function of the snapshot's result and the
+    answer prefix it scores over; answers are append-only, so the key
+    ``(snapshot.epoch, len(answers))`` identifies both, and the policy
+    builds it once per key (``scoring_cache_hits`` / ``_misses`` count the
+    reuse).  A hit returns exactly the object a rebuild would have
+    produced, so the cache cannot change a decision; it pays off when
+    several workers poll between answer arrivals or refits.
+
     Parameters
     ----------
     inner:
@@ -500,6 +509,10 @@ class AsyncRefitPolicy(AssignmentPolicy):
             )
         self.inner = inner
         self.profile: Optional[HotPathProfile] = None
+        self._cached_key: Optional[Tuple[int, int]] = None
+        self._cached_calculator = None
+        self.scoring_cache_hits = 0
+        self.scoring_cache_misses = 0
         self.engine = AsyncRefitEngine(
             inner.model,
             inner.schema,
@@ -552,7 +565,11 @@ class AsyncRefitPolicy(AssignmentPolicy):
         with _stage(self.profile, "snapshot_acquire"):
             snapshot = self.engine.snapshot_for(answers)
         assignment = self.inner.rank_candidates(
-            snapshot.result, worker, answers, candidates, k
+            self._calculator(snapshot, answers),
+            worker,
+            candidates,
+            k,
+            profile=self.profile,
         )
         if self._recorder is not None:
             self._record_decision(
@@ -564,6 +581,18 @@ class AsyncRefitPolicy(AssignmentPolicy):
                 shards=_single_shard_lineage(len(candidates), assignment),
             )
         return assignment
+
+    def _calculator(self, snapshot: ModelSnapshot, answers: AnswerSet):
+        """The gain calculator over ``snapshot``, built once per cache key."""
+        key = (snapshot.epoch, len(answers))
+        if key == self._cached_key:
+            self.scoring_cache_hits += 1
+            return self._cached_calculator
+        with _stage(self.profile, "calculator_build"):
+            calculator = self.inner.calculator_for(snapshot.result, answers)
+        self.scoring_cache_misses += 1
+        self._cached_key, self._cached_calculator = key, calculator
+        return calculator
 
     def observe(self, answers: AnswerSet) -> None:
         """Request a background refit for the newly arrived answers."""
@@ -583,5 +612,12 @@ class AsyncRefitPolicy(AssignmentPolicy):
         return snapshot.result, snapshot.answers_seen
 
     def restore_state(self, result: InferenceResult, answers_seen: int) -> None:
-        """Re-seat a persisted snapshot (see :meth:`AsyncRefitEngine.restore`)."""
+        """Re-seat a persisted snapshot (see :meth:`AsyncRefitEngine.restore`).
+
+        Drops the scoring cache: a restored engine may restart its epoch
+        numbering, so a stale ``(epoch, answers)`` key could otherwise
+        collide.
+        """
+        self._cached_key = None
+        self._cached_calculator = None
         self.engine.restore(result, answers_seen)

@@ -9,11 +9,10 @@ and 5 of the paper.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.config import SessionSpec
+from repro.config import SessionSpec, SimulationSpec
 from repro.config.factory import build_assigner, build_model, wrap_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import AssignmentPolicy
@@ -26,7 +25,7 @@ from repro.utils.exceptions import AssignmentError, ConfigurationError
 from repro.utils.rng import as_generator
 
 #: Sentinel distinguishing "keyword not passed" from an explicit value, so
-#: the legacy-kwargs shim only warns when a deprecated knob is actually used.
+#: only the simulation aliases a caller actually passed build the spec.
 _UNSET = object()
 
 
@@ -86,11 +85,11 @@ class CrowdsourcingSession:
     :class:`~repro.config.SessionSpec` — either through
     :meth:`from_spec` (which also builds the policy and evaluation
     inference from the spec) or by passing ``spec=`` alongside an
-    explicit policy.  The serving mode (``spec.serving``: sharded /
-    async-refit / composed), the durability section and the simulation
-    budget are all read from the spec; the wrapper-selection logic is the
-    shared factory in :mod:`repro.config.factory`, the same one the HTTP
-    service uses.
+    explicit policy.  The serving mode (``spec.serving``: incremental or
+    async refit), the durability section and the simulation budget are
+    all read from the spec; the wrapper-selection logic is the shared
+    factory in :mod:`repro.config.factory`, the same one the HTTP service
+    uses.
 
     Parameters
     ----------
@@ -104,38 +103,18 @@ class CrowdsourcingSession:
         Object with ``fit(schema, answers)`` used to evaluate effectiveness
         at the checkpoints (each system is evaluated with its own inference,
         as in the paper).
-    spec:
-        The session's :class:`~repro.config.SessionSpec`.  Mutually
-        exclusive with the legacy keyword surface below.
     target_answers_per_task / initial_answers_per_task / batch_size /
     eval_every_answers_per_task / seed / max_steps:
         The simulation budget (see
         :class:`~repro.config.SimulationSpec` for the field semantics).
-        Convenience aliases for ``spec.simulation``; accepted without a
-        deprecation warning because they configure the run, not the
-        serving architecture.
-    shards / shard_workers / async_refit / max_stale_answers /
-    durable_dir / snapshot_every_answers / wal_fsync:
-        **Deprecated** legacy serving/durability knobs, adapted through
-        :meth:`SessionSpec.from_legacy_kwargs` with a
-        ``DeprecationWarning``.  Use ``spec=`` (or :meth:`from_spec`)
-        instead; the field semantics — including the unified
-        ``max_stale_answers`` default of ``0`` (blocking) — are documented
-        once, on :class:`~repro.config.ServingSpec` and
-        :class:`~repro.config.DurabilitySpec`.
+        Convenience aliases that build ``spec.simulation`` when no
+        ``spec`` is given.  ``seed`` may be anything
+        :func:`repro.utils.rng.as_generator` accepts; the spec records it
+        only when it is a plain non-negative integer.
+    spec:
+        The session's :class:`~repro.config.SessionSpec`.  Mutually
+        exclusive with the simulation aliases above.
     """
-
-    #: Legacy serving/durability keywords routed through the deprecation
-    #: shim (everything the spec's serving + durability sections cover).
-    _LEGACY_KWARGS = (
-        "shards",
-        "shard_workers",
-        "async_refit",
-        "max_stale_answers",
-        "durable_dir",
-        "snapshot_every_answers",
-        "wal_fsync",
-    )
 
     def __init__(
         self,
@@ -148,13 +127,6 @@ class CrowdsourcingSession:
         eval_every_answers_per_task=_UNSET,
         seed=_UNSET,
         max_steps=_UNSET,
-        shards=_UNSET,
-        shard_workers=_UNSET,
-        async_refit=_UNSET,
-        max_stale_answers=_UNSET,
-        durable_dir=_UNSET,
-        snapshot_every_answers=_UNSET,
-        wal_fsync=_UNSET,
         spec: Optional[SessionSpec] = None,
     ) -> None:
         if dataset.oracle is None or dataset.worker_pool is None:
@@ -162,7 +134,7 @@ class CrowdsourcingSession:
                 "The dataset must carry an AnswerOracle and a WorkerPool to "
                 "simulate a live session"
             )
-        legacy = {
+        simulation = {
             name: value
             for name, value in (
                 ("target_answers_per_task", target_answers_per_task),
@@ -171,33 +143,23 @@ class CrowdsourcingSession:
                 ("eval_every_answers_per_task", eval_every_answers_per_task),
                 ("seed", seed),
                 ("max_steps", max_steps),
-                ("shards", shards),
-                ("shard_workers", shard_workers),
-                ("async_refit", async_refit),
-                ("max_stale_answers", max_stale_answers),
-                ("durable_dir", durable_dir),
-                ("snapshot_every_answers", snapshot_every_answers),
-                ("wal_fsync", wal_fsync),
             )
             if value is not _UNSET
         }
-        if spec is not None and legacy:
+        if spec is not None and simulation:
             raise ConfigurationError(
-                "Pass either spec= or the legacy keyword arguments, not "
-                f"both (got spec and {sorted(legacy)})"
+                "Pass either spec= or the simulation keyword arguments, not "
+                f"both (got spec and {sorted(simulation)})"
             )
         if spec is None:
-            deprecated = sorted(set(legacy) & set(self._LEGACY_KWARGS))
-            if deprecated:
-                warnings.warn(
-                    "The CrowdsourcingSession serving/durability keyword "
-                    f"arguments {deprecated} are deprecated; build a "
-                    "SessionSpec (repro.config) and pass spec= or use "
-                    "CrowdsourcingSession.from_spec instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            spec = SessionSpec.from_legacy_kwargs(**legacy)
+            recorded_seed = simulation.get("seed")
+            if (
+                not isinstance(recorded_seed, int)
+                or isinstance(recorded_seed, bool)
+                or recorded_seed < 0
+            ):
+                simulation["seed"] = None
+            spec = SessionSpec(simulation=SimulationSpec(**simulation))
         self.spec = spec
         self._raw_seed = seed if seed is not _UNSET else spec.simulation.seed
         self._owned_policy = None
@@ -313,10 +275,9 @@ class CrowdsourcingSession:
         try:
             return self._run()
         finally:
-            # The session owns the wrapper it built (sharded scoring pool or
-            # async refit worker): release its threads.  Selects after
-            # close() still work — sharded scoring just runs sequentially,
-            # and the async engine only loses its background worker.
+            # The session owns the async wrapper it built: release its
+            # refit thread.  Selects after close() still work — the async
+            # engine only loses its background worker.
             if self.durable is not None:
                 self.durable.close()
             if self._owned_policy is not None:

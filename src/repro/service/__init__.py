@@ -1,7 +1,7 @@
-"""Crowd-serving service layer: HTTP API, durability, composed serving.
+"""Crowd-serving service layer: HTTP API, durability, audit.
 
-The engine packages give the online loop three fast serving paths
-(incremental, sharded, async-refit); this package is the layer that serves
+The engine packages give the online loop two serving paths (incremental
+and async-refit); this package is the layer that serves
 them to live workers instead of in-process simulation loops:
 
 * :mod:`repro.service.wal` — a durable session: an append-only

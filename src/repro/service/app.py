@@ -29,8 +29,10 @@ canonical spec the session actually runs with.
 
 Error mapping: unknown session / unknown worker → 404; malformed JSON,
 malformed answers, invalid configs → 400; a worker with no assignable cell
-left → 409 (the session is simply exhausted for them); wrong method → 405.
-Every response body is JSON, errors as ``{"error": ...}`` — spec
+left → 409 (the session is simply exhausted for them); wrong method → 405;
+a model that cannot be served (an inference failure, or a response that
+would carry ``NaN``/``Infinity``) → 500.  Every response body is strict
+JSON, errors as ``{"error": ...}`` — spec
 validation failures additionally carry the dotted field path as
 ``{"error": ..., "path": "serving.max_stale_answers"}``.
 """
@@ -38,6 +40,7 @@ validation failures additionally carry the dotted field path as
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 import threading
@@ -57,8 +60,9 @@ from repro.utils.exceptions import (
     DataError,
     DurabilityError,
     InferenceError,
-    ServiceUnavailableError,
 )
+
+_log = logging.getLogger("repro.service.app")
 
 _STATUS = {
     200: "200 OK",
@@ -69,8 +73,15 @@ _STATUS = {
     409: "409 Conflict",
     413: "413 Payload Too Large",
     500: "500 Internal Server Error",
-    503: "503 Service Unavailable",
 }
+
+#: The 500 body served instead of a response holding ``NaN``/``Infinity``.
+_NON_FINITE_BODY = (
+    json.dumps({
+        "error": "the response holds a non-finite number; the session's "
+        "model is not servable",
+    }) + "\n"
+).encode("utf-8")
 
 #: Default request-body cap — far above any real config or answer batch,
 #: far below anything that could exhaust server memory.
@@ -326,16 +337,22 @@ class ServiceApp:
             status, body = 404, {"error": f"Unknown resource: {exc.args[0]!r}"}
         except AssignmentError as exc:
             status, body = 409, {"error": str(exc)}
-        except ServiceUnavailableError as exc:
-            # A dead shard worker process: explicit 503, never a hang.
-            status, body = 503, {"error": str(exc)}
         except (InferenceError, DurabilityError) as exc:
             status, body = 500, {"error": str(exc)}
         if isinstance(body, str):
             payload = body.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            payload = (json.dumps(body) + "\n").encode("utf-8")
+            try:
+                payload = (json.dumps(body, allow_nan=False) + "\n").encode("utf-8")
+            except ValueError:
+                # NaN/Infinity are not JSON: a model poisoned by extreme
+                # answers fails loudly instead of serving unparseable bodies.
+                _log.error(
+                    "refusing to serve a non-finite number on %s", path,
+                    extra={"session_id": body.get("session_id")},
+                )
+                status, payload = 500, _NON_FINITE_BODY
             content_type = "application/json"
         self.metrics.observe_request(endpoint, status)
         start_response(

@@ -49,31 +49,19 @@ DEFAULT_SCENARIO = {
     "seed": 7,
     "num_rows": 12,
     "target_answers_per_task": 1.5,
-    "num_shards": 3,
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
-#: Serving-mode keys accepted by the scripted drivers.  ``multiprocess``
-#: serves the scenario's shards from two real worker subprocesses behind
-#: :class:`~repro.engine.ProcessShardCoordinator`.
-SERVING_MODES = ("plain", "sharded", "async", "sharded_async", "multiprocess")
+#: Serving-mode keys accepted by the scripted drivers (``async`` runs at
+#: ``max_stale_answers=0``, the deterministic mode replay can reproduce).
+SERVING_MODES = ("plain", "async")
 
 
-def _serving_config(mode: str, scenario: dict) -> dict:
+def _serving_config(mode: str) -> dict:
     if mode == "plain":
         return {}
-    if mode == "sharded":
-        return {"shards": scenario["num_shards"]}
     if mode == "async":
         return {"async_refit": True, "max_stale_answers": 0}
-    if mode == "sharded_async":
-        return {
-            "shards": scenario["num_shards"],
-            "async_refit": True,
-            "max_stale_answers": 0,
-        }
-    if mode == "multiprocess":
-        return {"shards": scenario["num_shards"], "processes": 2}
     raise ValueError(f"Unknown serving mode {mode!r}; expected {SERVING_MODES}")
 
 
@@ -97,7 +85,7 @@ def scripted_spec(mode: str, scenario: dict, audit: bool = True) -> SessionSpec:
                 DEFAULT_SCENARIO["target_answers_per_task"],
             ),
         )
-        .serving(audit=audit, **_serving_config(mode, scenario))
+        .serving(audit=audit, **_serving_config(mode))
     )
     strategy = scenario.get("strategy")
     if strategy is not None:
@@ -890,7 +878,7 @@ def measure_serving(
         "serve_metrics_scraped": "repro_service_selects_served_total"
         in metrics_text,
         # Present only when the session ran a serving mode that reports
-        # per-stage hot-path timings (the engine wrappers); the plain
+        # per-stage hot-path timings (the async policy); the plain
         # assigner records no stages, so the histogram is legitimately
         # absent there.
         "serve_hotpath_metrics_scraped": "repro_hotpath_stage_seconds"

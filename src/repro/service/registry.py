@@ -9,8 +9,7 @@ Concurrency discipline:
   session operation (select, ingest, estimates, worker lookup).  The
   engine policies are single-session objects and not thread-safe against
   concurrent mutation, so the per-session lock serialises requests *within*
-  a session while different sessions proceed fully in parallel — the same
-  partitioning the sharded engine applies one level down.
+  a session while different sessions proceed fully in parallel.
 
 Sessions are described by a **version-1 spec body** (see
 :mod:`repro.config`): the envelope names where the rows live (an inline
@@ -23,7 +22,10 @@ settings.  The PR-4 config dialect is still accepted — bodies without a
 :meth:`SessionRegistry.create` with such a directory *recovers* the
 session (write-ahead-log replay, see :mod:`repro.service.wal`) instead of
 creating a fresh one, and ``GET /sessions/{id}/config`` serves the
-canonical spec back.
+canonical spec back.  Manifests written while the sharded and
+multi-process serving modes existed carry their (now removed) ``serving``
+fields; recovery drops them with one log line — every removed mode served
+bit-identically to in-process serving, so the session continues exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import (
+    REMOVED_SERVING_FIELDS,
     SessionSpec,
     split_envelope,
     upgrade_legacy_config,
@@ -173,12 +176,34 @@ def build_policy(schema: TableSchema, config):
     ``config`` may be a :class:`~repro.config.SessionSpec` or a JSON body
     in either dialect (v1 spec, or the legacy PR-4 config, upgraded via
     :func:`parse_config`).  The actual construction — assigner options,
-    model options, and the serving-mode table (plain / sharded / async /
-    composed) — is the shared factory in :mod:`repro.config.factory`.
+    model options, and the serving-mode switch (plain / async) — is the
+    shared factory in :mod:`repro.config.factory`.
     """
     if not isinstance(config, SessionSpec):
         _envelope, config = parse_config(dict(config))
     return _build_spec_policy(schema, config)
+
+
+def _drop_removed_serving(session_id: str, payload: dict) -> dict:
+    """``payload`` without the removed ``serving`` fields (logged once).
+
+    Durable manifests pin ``ServingSpec.to_dict()``, which used to carry
+    :data:`~repro.config.REMOVED_SERVING_FIELDS`; a new request naming one
+    is refused, but a session already on disk must still recover.
+    """
+    serving = payload.get("serving")
+    if not isinstance(serving, dict):
+        return payload
+    dropped = sorted(key for key in REMOVED_SERVING_FIELDS if key in serving)
+    if not dropped:
+        return payload
+    _log.info(
+        "dropping removed serving fields %s from the manifest of %s",
+        dropped, session_id,
+        extra={"session_id": session_id},
+    )
+    kept = {key: value for key, value in serving.items() if key not in dropped}
+    return {**payload, "serving": kept}
 
 
 # -- served session -----------------------------------------------------------
@@ -517,10 +542,13 @@ class SessionRegistry:
             session_id = manifest["session_id"]
             if "spec" in manifest:
                 envelope = {"schema": manifest["schema"]}
-                spec = SessionSpec.from_dict(manifest["spec"])
+                payload = _drop_removed_serving(session_id, manifest["spec"])
+                spec = SessionSpec.from_dict(payload)
             else:
                 # Format-1 manifest (PR-4 legacy config): upgrade in place.
-                config = dict(manifest.get("config") or {})
+                config = _drop_removed_serving(
+                    session_id, dict(manifest.get("config") or {})
+                )
                 config["schema"] = manifest["schema"]
                 envelope, spec = parse_config(config)
         except (OSError, ValueError, KeyError) as exc:

@@ -38,17 +38,16 @@ surviving global count, and a pruned timeline can never be resurrected.
 deterministic function of the event sequence: answers are append-only,
 refits are deterministic EM (warm-started from the previous result), and
 selection is a deterministic ranking.  Recovery therefore rebuilds the
-exact session: the :class:`~repro.engine.SessionState` /
-:class:`~repro.engine.ShardedSessionState` indexes (re-synced from the
-recovered answers), the answer set, and the model's warm-start chain —
+exact session: the :class:`~repro.engine.SessionState` indexes (re-synced
+from the recovered answers), the answer set, and the model's warm-start chain —
 either by re-seating a snapshot's serialized result
 (:func:`serialize_result` round-trips every float exactly) and replaying
 the WAL tail with full side effects, or by replaying the whole log.  The
 continued assignment sequence matches an uninterrupted run bit for bit —
 the property ``benchmarks/run_bench.py --serve`` records as
 ``recovery_identical`` and CI gates on.  (The guarantee assumes a
-deterministic serving mode: the synchronous/sharded policies, or the
-async ones at ``max_stale_answers=0``.  With a positive staleness bound,
+deterministic serving mode: the synchronous policy, or the async one at
+``max_stale_answers=0``.  With a positive staleness bound,
 background refit *timing* is nondeterministic, so replay reproduces a
 valid execution of the same session rather than the exact one observed.)
 
@@ -56,8 +55,7 @@ Snapshot-epoch protocol: epochs increase by one per snapshot and never
 reuse a number, so ``snapshot-<epoch>-<answers_seen>.json`` names are
 totally ordered and immutable once written — the same property that lets
 :class:`~repro.engine.ModelSnapshot` cross thread boundaries lets these
-files cross *process* boundaries, which is the staging ground for
-process-level sharding (one recovered engine per shard group).
+files cross *process* boundaries.
 """
 
 from __future__ import annotations
@@ -83,6 +81,7 @@ from repro.service.storage import (  # noqa: F401  (re-exported compat surface)
 )
 from repro.utils.exceptions import (
     AssignmentError,
+    InferenceError,
     ConfigurationError,
     DurabilityError,
 )
@@ -379,7 +378,7 @@ class DurableSession:
         elif kind == "select":
             try:
                 self.policy.select(record["w"], self.answers, int(record["k"]))
-            except AssignmentError:
+            except (AssignmentError, InferenceError):
                 pass  # the live call failed too; the refit side effect stands
         elif kind == "estimates":
             if len(self.answers):

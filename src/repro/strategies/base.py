@@ -1,15 +1,14 @@
 """The :class:`AssignmentStrategy` seam and its determinism toolkit.
 
 A strategy decides *what scores candidate cells* — it plugs into
-:meth:`repro.core.assignment.TCrowdAssigner._build_calculator`, the one
-point every serving mode funnels scoring through (the vectorized select,
-the scalar path, the sharded per-shard scorer, the composed
-snapshot-scoring path and the multi-process worker twins all build their
-calculator there).  Everything *around* the scores — candidate filtering,
-stable top-K and the cross-shard merge, refit cadence, WAL replay,
-decision provenance — is shared machinery the strategy never touches,
-which is what makes every strategy bit-identical across all five serving
-modes by construction.
+:meth:`repro.core.assignment.TCrowdAssigner.calculator_for`, the one
+point both serving modes funnel scoring through (the plain assigner's
+select, vectorized or scalar, and the async policy's snapshot-scoring
+path build their calculator there).  Everything *around* the scores —
+candidate filtering, stable top-K, refit cadence, WAL replay, decision
+provenance — is shared machinery the strategy never touches, which is
+what makes every strategy bit-identical across both serving modes by
+construction.
 
 The contract for the returned calculator mirrors the paper calculators
 (:class:`~repro.core.information_gain.InformationGainCalculator`):
@@ -17,11 +16,7 @@ The contract for the returned calculator mirrors the paper calculators
 ``gain(worker, row, col) -> float``
     Score one cell (the scalar / non-vectorized path).
 ``gains_batch(worker, cells) -> np.ndarray``
-    Score many cells in one pass (the vectorized and sharded paths).
-``prewarm() -> None``
-    Make subsequent ``gains_batch`` calls side-effect free (the threaded
-    sharded scorer calls it before fanning out; a no-op is fine for
-    calculators that never mutate).
+    Score many cells in one pass (the vectorized path).
 
 Determinism rules every strategy must obey (and the provided helpers
 make easy):
@@ -32,11 +27,12 @@ make easy):
   strategies draw from :func:`hash_unit` — a pure function of
   ``(seed, context)`` — instead.
 * **Scores are a pure function of ``(result, answers, worker, cell)``.**
-  Two processes holding the same session state must produce the same
-  score for the same cell, or the multi-process merge breaks.
-* **Finite floats only.**  Scores ride the JSON wire protocol of the
-  process coordinator and the audit ledger; ``inf``/``nan`` do not
-  survive it.  Use :data:`RETIRED_GAIN` as the "never pick this" value.
+  The async policy caches one calculator per ``(epoch, answers)`` key and
+  serves every worker from it, and a recovered session must score the
+  same cell the same way as the process that crashed.
+* **Finite floats only.**  Scores ride the audit ledger's canonical JSON,
+  which refuses ``inf``/``nan``.  Use :data:`RETIRED_GAIN` as the "never
+  pick this" value.
 """
 
 from __future__ import annotations
@@ -53,8 +49,8 @@ from repro.core.inference import InferenceResult
 Cell = Tuple[int, int]
 
 #: Finite sentinel for cells a strategy has retired: small enough that any
-#: live cell outranks it, finite so it survives JSON (the coordinator wire
-#: protocol and the audit ledger both refuse ``-inf``).
+#: live cell outranks it, finite so it survives JSON (the audit ledger
+#: refuses ``-inf``).
 RETIRED_GAIN = -1e18
 
 _DOMAIN = b"repro.strategies"
@@ -81,9 +77,8 @@ def hash_unit(seed, *context) -> float:
 class StrategyCalculator(abc.ABC):
     """Base class for strategy-built gain calculators.
 
-    Provides the default ``gains_batch`` (a loop over :meth:`gain`) and a
-    no-op :meth:`prewarm`; strategies with a vectorisable score override
-    ``gains_batch``.
+    Provides the default ``gains_batch`` (a loop over :meth:`gain`);
+    strategies with a vectorisable score override it.
     """
 
     @abc.abstractmethod
@@ -96,18 +91,13 @@ class StrategyCalculator(abc.ABC):
             [self.gain(worker, row, col) for row, col in cells], dtype=float
         )
 
-    def prewarm(self) -> None:
-        """Make ``gains_batch`` side-effect free (default: already is)."""
-
 
 class AssignmentStrategy(abc.ABC):
     """One pluggable scoring policy (see the module docs for the contract).
 
     ``spec`` is the :class:`~repro.config.StrategySpec` the strategy was
-    built from — the serializable identity that ships across the process
-    boundary (:func:`repro.engine.coordinator.worker_spec_from_assigner`)
-    and is pinned, by name, into durable manifests and the decision-chain
-    genesis.
+    built from — the serializable identity pinned, by name, into durable
+    manifests and the decision-chain genesis.
     """
 
     def __init__(self, spec) -> None:
@@ -131,7 +121,7 @@ class AssignmentStrategy(abc.ABC):
         :class:`~repro.core.assignment.TCrowdAssigner`; strategies that
         compose over the paper's gain call
         ``assigner.paper_calculator(result, answers)`` for the inner
-        calculator (never ``_build_calculator``, which would recurse back
+        calculator (never ``calculator_for``, which would recurse back
         into the strategy).
         """
 

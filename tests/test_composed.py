@@ -1,11 +1,13 @@
-"""Unit tests for the composed sharded+async serving mode.
+"""Unit tests for the async serving mode as the service composes it.
 
-The end-to-end bit-identity of :class:`~repro.engine.ShardedAsyncPolicy` is
-pinned by the golden-trace matrix (``tests/test_golden_trace.py``) and the
-benchmark's ``identical_assignments_sharded_async`` bit; these tests cover
-the policy surface itself — construction, the snapshot/restore durability
-protocol, bounded staleness on a virtual clock, and the speedup harness's
-composed path.
+:class:`~repro.engine.AsyncRefitPolicy` composes bounded-staleness refits,
+the snapshot-keyed scoring cache and the durable snapshot protocol.  Its
+end-to-end bit-identity is pinned by the golden-trace matrix
+(``tests/test_golden_trace.py``) and the benchmark's
+``identical_assignments_async`` / ``identical_estimates_async`` bits; these
+tests cover the policy surface itself — construction, the snapshot/restore
+durability protocol, bounded staleness on a virtual clock, and the speedup
+harness's async path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from repro.core.answers import AnswerSet
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
-from repro.engine import AsyncRefitEngine, ShardedAsyncPolicy, VirtualClock
+from repro.engine import AsyncRefitEngine, AsyncRefitPolicy, VirtualClock
 from repro.utils.exceptions import AssignmentError, ConfigurationError
 
 FAST_MODEL = {"max_iterations": 3, "m_step_iterations": 6}
@@ -45,36 +47,23 @@ def _seeded_answers(schema, answers_per_cell=2, seed=0):
 
 
 class TestConstruction:
-    def test_name_reflects_both_modes(self, mixed_schema):
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=3, clock=VirtualClock()
-        )
-        assert policy.name.endswith("[sharded x3 + async refit]")
+    def test_name_reflects_async_mode(self, mixed_schema):
+        policy = AsyncRefitPolicy(_assigner(mixed_schema), clock=VirtualClock())
+        assert policy.name.endswith("[async refit]")
         policy.close()
 
     def test_rejects_monte_carlo_gains(self, mixed_schema):
         with pytest.raises(ConfigurationError):
-            ShardedAsyncPolicy(
-                _assigner(mixed_schema, continuous_samples=8), num_shards=2
-            )
-
-    def test_rejects_bad_shard_count(self, mixed_schema):
-        with pytest.raises(ConfigurationError):
-            ShardedAsyncPolicy(_assigner(mixed_schema), num_shards=0)
+            AsyncRefitPolicy(_assigner(mixed_schema, continuous_samples=8))
 
     def test_empty_answers_rejected(self, mixed_schema):
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, clock=VirtualClock()
-        )
+        policy = AsyncRefitPolicy(_assigner(mixed_schema), clock=VirtualClock())
         with pytest.raises(AssignmentError):
             policy.select("w0", AnswerSet(mixed_schema), k=1)
         policy.close()
 
     def test_close_is_idempotent(self, mixed_schema):
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, max_workers=2,
-            clock=VirtualClock(),
-        )
+        policy = AsyncRefitPolicy(_assigner(mixed_schema))
         policy.close()
         policy.close()
 
@@ -84,23 +73,23 @@ class TestServing:
         answers_a = _seeded_answers(mixed_schema)
         answers_b = _seeded_answers(mixed_schema)
         plain = _assigner(mixed_schema)
-        composed = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=3, max_stale_answers=0,
-            clock=VirtualClock(),
+        served = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
         )
-        for worker in ("w0", "w3"):
+        for worker in ("w0", "w3", "w0"):
             expected = plain.select(worker, answers_a, k=4)
-            actual = composed.select(worker, answers_b, k=4)
+            actual = served.select(worker, answers_b, k=4)
             assert actual.cells == expected.cells
             assert actual.gains == expected.gains
-        composed.close()
+        # Selects two and three reused the first calculator.
+        assert served.scoring_cache_hits == 2
+        served.close()
 
     def test_bounded_staleness_serves_stale_snapshot(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
         clock = VirtualClock()
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, max_stale_answers=100,
-            clock=clock,
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=100, clock=clock
         )
         policy.select("w0", answers, k=1)
         epoch_before = policy.engine.epoch
@@ -116,9 +105,8 @@ class TestServing:
 
     def test_final_result_catches_up(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, max_stale_answers=100,
-            clock=VirtualClock(),
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=100, clock=VirtualClock()
         )
         result = policy.final_result(answers)
         assert policy.engine.snapshot.answers_seen == len(answers)
@@ -129,9 +117,8 @@ class TestServing:
 class TestDurabilityProtocol:
     def test_snapshot_state_round_trip(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, max_stale_answers=0,
-            clock=VirtualClock(),
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
         )
         assert policy.snapshot_state() is None
         policy.select("w0", answers, k=1)
@@ -140,9 +127,8 @@ class TestDurabilityProtocol:
         result, answers_seen = state
         assert answers_seen == len(answers)
 
-        fresh = ShardedAsyncPolicy(
-            _assigner(mixed_schema), num_shards=2, max_stale_answers=0,
-            clock=VirtualClock(),
+        fresh = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
         )
         fresh.restore_state(result, answers_seen)
         assert fresh.last_result is result
@@ -185,8 +171,8 @@ class TestDurabilityProtocol:
 
 
 @pytest.mark.slow
-class TestSpeedupHarnessComposedPath:
-    def test_measure_engine_speedup_records_composed_bits(self):
+class TestSpeedupHarnessAsyncPath:
+    def test_measure_engine_speedup_records_async_bits(self):
         from repro.experiments.efficiency import measure_engine_speedup
 
         stats = measure_engine_speedup(
@@ -194,9 +180,9 @@ class TestSpeedupHarnessComposedPath:
             num_rows=8,
             target_answers_per_task=1.3,
             model_kwargs={"max_iterations": 3, "m_step_iterations": 6},
-            shards=2,
             async_refit=True,
         )
-        assert stats["identical_assignments_sharded_async"] is True
-        assert stats["speedup_sharded_async"] > 0
-        assert "seconds_engine_sharded_async_path" in stats
+        assert stats["identical_assignments_async"] is True
+        assert stats["identical_estimates_async"] is True
+        assert stats["speedup_async"] > 0
+        assert "seconds_engine_async_path" in stats

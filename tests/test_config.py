@@ -9,9 +9,9 @@ Three contracts are pinned here:
   :class:`~repro.config.SpecValidationError` whose ``path`` names the
   offending field (``serving.max_stale_answers``), and unknown fields are
   rejected rather than ignored.
-* **Legacy equivalence** — the pre-spec keyword surfaces (session kwargs,
-  the PR-4 service dialect) adapt to specs that drive byte-identical
-  sessions.
+* **Legacy equivalence** — the PR-4 service dialect adapts to specs that
+  drive byte-identical sessions, and the fields of the removed serving
+  modes are refused with their path instead of being ignored.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
+    REMOVED_SERVING_FIELDS,
     DurabilitySpec,
     ModelSpec,
     PolicySpec,
@@ -75,8 +76,6 @@ policy_specs = st.builds(
 
 serving_specs = st.builds(
     ServingSpec,
-    shards=st.integers(min_value=1, max_value=16),
-    shard_workers=st.none() | st.integers(min_value=1, max_value=8),
     async_refit=st.booleans(),
     max_stale_answers=st.none() | st.integers(min_value=0, max_value=10_000),
     refit_tol=st.none() | st.floats(min_value=1e-9, max_value=1.0, **_floats),
@@ -142,7 +141,7 @@ class TestRoundTrip:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.version = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.serving.shards = 99
+            spec.serving.audit = False
 
     def test_sections_may_be_omitted(self):
         assert SessionSpec.from_dict({"version": 1}) == SessionSpec()
@@ -191,52 +190,37 @@ class TestValidation:
 
     def test_errors_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
-            ServingSpec(shards=0)
+            ServingSpec(max_stale_answers=-1)
 
-    def test_sharding_rejects_monte_carlo_gains(self):
+    def test_async_refit_rejects_monte_carlo_gains(self):
         with pytest.raises(SpecValidationError) as excinfo:
             SessionSpec.from_dict(
                 {
                     "version": 1,
                     "policy": {"continuous_samples": 4},
-                    "serving": {"shards": 2},
+                    "serving": {"async_refit": True},
                 }
             )
         assert excinfo.value.path == "policy.continuous_samples"
 
     def test_booleans_are_not_integers(self):
-        with pytest.raises(SpecValidationError, match="serving.shards"):
-            ServingSpec(shards=True)
+        with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
+            ServingSpec(max_stale_answers=True)
 
-    def test_processes_rejects_async_refit(self):
-        """Worker processes own their refit schedule: the in-process async
-        engine would race it, so the combination is a spec error."""
-        with pytest.raises(SpecValidationError, match="serving.async_refit"):
-            ServingSpec(processes=2, async_refit=True)
-        with pytest.raises(SpecValidationError, match="serving.processes"):
-            ServingSpec(processes=-1)
-
-    def test_processes_rejects_monte_carlo_gains(self):
+    @pytest.mark.parametrize("field", REMOVED_SERVING_FIELDS)
+    def test_removed_serving_fields_are_refused(self, field):
+        """The sharded / multi-process fields fail loudly, never silently."""
         with pytest.raises(SpecValidationError) as excinfo:
-            SessionSpec.from_dict(
-                {
-                    "version": 1,
-                    "policy": {"continuous_samples": 4},
-                    "serving": {"processes": 2},
-                }
-            )
-        assert excinfo.value.path == "policy.continuous_samples"
-
-    def test_processes_describe_and_wrapper(self):
-        spec = ServingSpec(processes=2, shards=4)
-        assert spec.wants_wrapper
-        assert spec.describe() == "multiprocess x2 + sharded x4"
-        assert not ServingSpec().wants_wrapper
+            SessionSpec.from_dict({"version": 1, "serving": {field: 1}})
+        assert excinfo.value.path == f"serving.{field}"
+        assert str(excinfo.value) == (
+            f"serving.{field} was removed (in-process serving only)"
+        )
 
     def test_max_stale_semantics_are_unified(self):
         """One default for every entry point: 0 = blocking (bit-exact)."""
         assert ServingSpec().max_stale_answers == 0
-        assert SessionSpec.from_legacy_kwargs().serving.max_stale_answers == 0
+        assert SessionSpec().serving.max_stale_answers == 0
         assert ServingSpec(max_stale_answers=None).max_stale_answers is None
         assert "max_stale=unbounded" in ServingSpec(
             async_refit=True, max_stale_answers=None
@@ -250,23 +234,20 @@ class TestBuilder:
     def test_issue_example_chain(self, tmp_path):
         spec = (
             SessionSpec.builder()
-            .sharded(4)
             .async_refit(max_stale=64)
             .durable(tmp_path)
             .build()
         )
-        assert spec.serving == ServingSpec(
-            shards=4, async_refit=True, max_stale_answers=64
-        )
+        assert spec.serving == ServingSpec(async_refit=True, max_stale_answers=64)
         assert spec.durability.durable_dir == str(tmp_path)
-        assert spec.describe() == "sharded x4 + async refit (max_stale=64) [durable]"
+        assert spec.describe() == "async refit (max_stale=64) [durable]"
 
     def test_empty_builder_is_default_spec(self):
         assert SessionSpec.builder().build() == SessionSpec()
 
     def test_builder_validates_at_build(self):
-        builder = SessionSpec.builder().sharded(0)
-        with pytest.raises(SpecValidationError, match="serving.shards"):
+        builder = SessionSpec.builder().serving(max_stale_answers=-1)
+        with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
             builder.build()
 
     def test_with_durable_dir(self, tmp_path):
@@ -278,16 +259,17 @@ class TestBuilder:
         spec = (
             SessionSpec.builder()
             .durable(tmp_path, snapshot_every_answers=25, wal_fsync=True)
-            .serving(shard_workers=2, shards=3)
-            .sharded(4, workers=3)
+            .serving(max_stale_answers=3, audit=False)
+            .async_refit(max_stale=7)
             .build()
         )
         assert spec.durability == DurabilitySpec(
             durable_dir=str(tmp_path), snapshot_every_answers=25, wal_fsync=True
         )
         # later builder calls win
-        assert spec.serving.shards == 4
-        assert spec.serving.shard_workers == 3
+        assert spec.serving == ServingSpec(
+            async_refit=True, max_stale_answers=7, audit=False
+        )
 
     def test_split_envelope_rejects_non_objects(self):
         from repro.config import split_envelope
@@ -305,68 +287,6 @@ class TestBuilder:
 
 
 class TestLegacyAdapters:
-    def test_from_legacy_kwargs_maps_every_field(self, tmp_path):
-        spec = SessionSpec.from_legacy_kwargs(
-            target_answers_per_task=3.0,
-            initial_answers_per_task=2,
-            batch_size=5,
-            eval_every_answers_per_task=0.25,
-            seed=11,
-            max_steps=40,
-            shards=3,
-            shard_workers=2,
-            async_refit=True,
-            max_stale_answers=None,
-            durable_dir=tmp_path,
-            snapshot_every_answers=50,
-            wal_fsync=True,
-        )
-        assert spec.serving == ServingSpec(
-            shards=3, shard_workers=2, async_refit=True, max_stale_answers=None
-        )
-        assert spec.durability == DurabilitySpec(
-            durable_dir=str(tmp_path), snapshot_every_answers=50, wal_fsync=True
-        )
-        assert spec.simulation == SimulationSpec(
-            target_answers_per_task=3.0,
-            initial_answers_per_task=2,
-            batch_size=5,
-            eval_every_answers_per_task=0.25,
-            seed=11,
-            max_steps=40,
-        )
-
-    @settings(max_examples=100)
-    @given(
-        shards=st.none() | st.integers(min_value=0, max_value=8),
-        shard_workers=st.none() | st.integers(min_value=1, max_value=4),
-        async_refit=st.booleans(),
-        max_stale=st.none() | st.integers(min_value=0, max_value=200),
-        target=st.floats(min_value=1.1, max_value=8.0, **_floats),
-        seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_legacy_kwargs_produce_round_trippable_specs(
-        self, shards, shard_workers, async_refit, max_stale, target, seed
-    ):
-        """legacy kwargs → spec → JSON → spec is lossless for any input."""
-        spec = SessionSpec.from_legacy_kwargs(
-            shards=shards,
-            shard_workers=shard_workers,
-            async_refit=async_refit,
-            max_stale_answers=max_stale,
-            target_answers_per_task=target,
-            seed=seed,
-        )
-        assert SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-        assert spec.serving.shards == (shards if shards else 1)
-        assert spec.serving.max_stale_answers == max_stale
-
-    def test_from_legacy_kwargs_drops_non_integer_seeds(self):
-        import numpy as np
-
-        spec = SessionSpec.from_legacy_kwargs(seed=np.random.default_rng(0))
-        assert spec.simulation.seed is None
-
     def test_upgrade_legacy_service_config(self):
         upgraded = upgrade_legacy_config(
             {
@@ -392,7 +312,7 @@ class TestLegacyAdapters:
         assert spec.policy.refit_every == 2
         assert spec.policy.model.max_iterations == 7
         assert spec.serving == ServingSpec(
-            shards=1, async_refit=True, max_stale_answers=9, refit_tol=1e-3
+            async_refit=True, max_stale_answers=9, refit_tol=1e-3
         )
         assert spec.durability == DurabilitySpec(
             snapshot_every_answers=33, wal_fsync=True
@@ -423,26 +343,21 @@ class TestFactory:
         fast = {"max_iterations": 3, "m_step_iterations": 6}
         plain = build_policy(mixed_schema, SessionSpec.builder().model(**fast).build())
         assert type(plain).__name__ == "TCrowdAssigner"
-        for build, expected in [
-            (SessionSpec.builder().model(**fast).sharded(2), "[sharded x2]"),
-            (SessionSpec.builder().model(**fast).async_refit(), "[async refit]"),
-            (
-                SessionSpec.builder().model(**fast).sharded(2).async_refit(),
-                "[sharded x2 + async refit]",
-            ),
-        ]:
-            policy = build_policy(mixed_schema, build.build())
-            try:
-                assert policy.name.endswith(expected)
-            finally:
-                policy.close()
+        spec = SessionSpec.builder().model(**fast).async_refit().build()
+        policy = build_policy(mixed_schema, spec)
+        try:
+            assert type(policy).__name__ == "AsyncRefitPolicy"
+            assert policy.name.endswith("[async refit]")
+        finally:
+            policy.close()
 
     def test_wrap_policy_requires_tcrowd_assigner(self, mixed_schema):
         from repro.baselines.assignment_simple import RandomAssigner
 
         with pytest.raises(ConfigurationError, match="TCrowdAssigner"):
             wrap_policy(
-                RandomAssigner(mixed_schema, seed=0), ServingSpec(shards=2)
+                RandomAssigner(mixed_schema, seed=0),
+                ServingSpec(async_refit=True),
             )
 
     def test_wrap_policy_passthrough_for_default_serving(self, mixed_schema):
@@ -477,6 +392,16 @@ class TestValidateCLI:
         err = capsys.readouterr().err
         assert "serving.max_stale_answers" in err
 
+    def test_reports_removed_serving_fields(self, tmp_path, capsys):
+        bad = tmp_path / "sharded.json"
+        bad.write_text(
+            json.dumps({"version": 1, "serving": {"shards": 4}}),
+            encoding="utf-8",
+        )
+        assert validate_main([str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "serving.shards was removed (in-process serving only)" in err
+
     def test_reports_non_json_files(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{nope", encoding="utf-8")
@@ -491,7 +416,7 @@ class TestValidateCLI:
                     "version": 1,
                     "dataset": {"name": "celebrity", "num_rows": 8},
                     "durable": True,
-                    "serving": {"shards": 2},
+                    "serving": {"async_refit": True},
                 }
             ),
             encoding="utf-8",

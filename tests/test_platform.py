@@ -371,27 +371,6 @@ class TestAsyncRefitSession:
         assert trace.final.answers_per_task > 1.0
         assert trace.final.error_rate is not None
 
-    def test_composed_sharded_async_session_replays_synchronous_trace(
-        self, async_dataset
-    ):
-        """shards + async_refit compose (ShardedAsyncPolicy); at
-        max_stale_answers=0 the composed session must replay the
-        synchronous trace bit for bit."""
-        sync_trace = self._session(async_dataset).run()
-        composed_trace = self._session(
-            async_dataset,
-            spec=self._spec_builder().sharded(2).async_refit(max_stale=0).build(),
-        ).run()
-        assert composed_trace.records == sync_trace.records
-        assert composed_trace.policy_name.endswith("[sharded x2 + async refit]")
-
-    def test_composed_session_with_bounded_staleness_completes(self, async_dataset):
-        trace = self._session(
-            async_dataset,
-            spec=self._spec_builder().sharded(2).async_refit(max_stale=6).build(),
-        ).run()
-        assert trace.final.answers_per_task > 1.0
-
     def test_async_requires_tcrowd_policy(self, async_dataset):
         model = TCrowdModel(max_iterations=4, m_step_iterations=8)
         spec = SessionSpec.builder().async_refit().simulation(
@@ -407,7 +386,11 @@ class TestAsyncRefitSession:
 
 
 class TestLegacyKwargsShim:
-    """The pre-spec keyword surface keeps working, with a DeprecationWarning."""
+    """What is left of the pre-spec keyword surface: the simulation aliases.
+
+    They build ``spec.simulation`` directly; the serving and durability
+    keywords are gone (a spec carries those).
+    """
 
     @pytest.fixture(scope="class")
     def shim_dataset(self):
@@ -423,34 +406,15 @@ class TestLegacyKwargsShim:
             refit_every=1,
         )
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_legacy_serving_kwargs_warn_and_match_spec_path(self, shim_dataset):
-        with pytest.warns(DeprecationWarning, match="async_refit.*shards"):
-            legacy = CrowdsourcingSession(
+    def test_removed_serving_kwargs_are_rejected(self, shim_dataset):
+        """Serving and durability live on the spec only."""
+        with pytest.raises(TypeError, match="shards"):
+            CrowdsourcingSession(
                 shim_dataset,
                 self._policy(shim_dataset),
                 TCrowdModel(max_iterations=3, m_step_iterations=6),
-                target_answers_per_task=1.5,
-                seed=13,
                 shards=2,
-                async_refit=True,
-                max_stale_answers=0,
             )
-        spec = (
-            SessionSpec.builder()
-            .sharded(2)
-            .async_refit(max_stale=0)
-            .simulation(target_answers_per_task=1.5, seed=13)
-            .build()
-        )
-        assert legacy.spec == spec
-        via_spec = CrowdsourcingSession(
-            shim_dataset,
-            self._policy(shim_dataset),
-            TCrowdModel(max_iterations=3, m_step_iterations=6),
-            spec=spec,
-        )
-        assert legacy.run().records == via_spec.run().records
 
     def test_simulation_kwargs_do_not_warn(self, shim_dataset, recwarn):
         CrowdsourcingSession(

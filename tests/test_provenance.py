@@ -1,11 +1,10 @@
 """Decision provenance: ledger chaining, cross-mode identity, audit API.
 
 The golden-trace audit matrix is the load-bearing test here: the scripted
-scenario replayed through every serving mode — incremental, sharded, async
-at ``max_stale_answers=0``, the composed policy and the ``processes=2``
-coordinator — must produce *hash-identical* decision ledgers, because the
-hashed core of a record carries only mode-invariant facts (the shard
-lineage annotations ride outside the hash).  Crash recovery must re-derive
+scenario replayed through both serving modes — incremental and async at
+``max_stale_answers=0`` — must produce *hash-identical* decision ledgers,
+because the hashed core of a record carries only mode-invariant facts (the
+lineage annotation rides outside the hash).  Crash recovery must re-derive
 the same ledger from the WAL on both storage backends, and the HTTP layer
 must serve it faithfully.
 """
@@ -94,7 +93,7 @@ class TestDecisionRecorder:
             answers_total=5,
             candidates=8,
             model_hash="m" * 64,
-            shards=({"shard": 0, "candidates": 8, "process": 1},),
+            shards=({"shard": 0, "candidates": 8, "winners": []},),
         )
         assert bare.record_hash == dressed.record_hash
         assert dressed.shards and not bare.shards
@@ -164,7 +163,7 @@ class TestDecisionRecorder:
 
 
 class TestGoldenAuditMatrix:
-    """Identical decision chains across every serving mode."""
+    """Identical decision chains across both serving modes."""
 
     @pytest.fixture(scope="class")
     def ledgers(self):
@@ -190,13 +189,17 @@ class TestGoldenAuditMatrix:
             assert [record_core(r) for r in records] == reference, mode
 
     def test_lineage_annotations_reflect_the_topology(self, ledgers):
-        for record in ledgers["sharded"]:
-            assert {block["shard"] for block in record["shards"]} == {0, 1, 2}
-        for record in ledgers["multiprocess"]:
-            assert {block["process"] for block in record["shards"]} == {0, 1}
-            assert sum(b["candidates"] for b in record["shards"]) == record[
-                "candidates"
-            ]
+        """In-process serving annotates one block: the whole pool and the
+        winners with their gains, in rank order."""
+        for records in ledgers.values():
+            for record in records:
+                (block,) = record["shards"]
+                assert block["shard"] == 0
+                assert block["candidates"] == record["candidates"]
+                assert block["winners"] == [
+                    [row, col, gain]
+                    for (row, col), gain in zip(record["cells"], record["gains"])
+                ]
 
 
 class TestAuditCrashRecovery:
@@ -208,7 +211,7 @@ class TestAuditCrashRecovery:
         assert summary["audit_replay_verified"] >= 1, summary
 
     def test_recovery_chain_continues_across_modes(self, tmp_path):
-        summary = verify_audit_replay(mode="sharded", directory=tmp_path)
+        summary = verify_audit_replay(mode="async", directory=tmp_path)
         assert summary["audit_replay_identical"], summary
 
 

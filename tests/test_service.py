@@ -50,6 +50,12 @@ def _config(**overrides):
     return config
 
 
+def _seed_registry(session, rows=4):
+    """:func:`_seed`, straight through a registry session (no HTTP)."""
+    for row in range(rows):
+        session.ingest(f"seed-{row % 2}", [(row, 0, "red"), (row, 1, 10.0 + row)])
+
+
 def _seed(client, session_id, rows=4, worker_prefix="seed"):
     for row in range(rows):
         client.post_answers(
@@ -102,21 +108,12 @@ class TestSchemaCodec:
     def test_build_policy_modes(self, mixed_schema):
         plain = build_policy(mixed_schema, {"policy": {"model": FAST_MODEL}})
         assert type(plain).__name__ == "TCrowdAssigner"
-        sharded = build_policy(
+        served = build_policy(
             mixed_schema,
-            {"policy": {"model": FAST_MODEL}, "serving": {"shards": 2}},
+            {"policy": {"model": FAST_MODEL}, "serving": {"async_refit": True}},
         )
-        assert "sharded" in sharded.name
-        sharded.close()
-        composed = build_policy(
-            mixed_schema,
-            {
-                "policy": {"model": FAST_MODEL},
-                "serving": {"shards": 2, "async_refit": True},
-            },
-        )
-        assert "sharded x2 + async refit" in composed.name
-        composed.close()
+        assert served.name.endswith("[async refit]")
+        served.close()
 
     def test_build_policy_rejects_bad_options(self, mixed_schema):
         with pytest.raises(ConfigurationError):
@@ -169,11 +166,11 @@ class TestSessionLifecycle:
             {
                 "dataset": {"name": "celebrity", "seed": 3, "num_rows": 4},
                 "policy": {"model": dict(FAST_MODEL)},
-                "serving": {"shards": 2},
+                "serving": {"async_refit": True},
             }
         )
         assert created["num_rows"] == 4
-        assert "sharded" in created["policy"]
+        assert "async refit" in created["policy"]
         client.delete_session(created["session_id"])
 
     def test_v1_spec_body_and_config_endpoint(self, client):
@@ -182,13 +179,12 @@ class TestSessionLifecycle:
             SessionSpec.builder()
             .model(**FAST_MODEL)
             .policy(refit_every=1)
-            .sharded(2)
             .async_refit(max_stale=0)
             .build()
         )
         created = client.create_session({"schema": SCHEMA_SPEC, **spec.to_dict()})
         session_id = created["session_id"]
-        assert "sharded x2 + async refit" in created["policy"]
+        assert created["policy"].endswith("[async refit]")
 
         status, config = client.request(
             "GET", f"/sessions/{session_id}/config"
@@ -224,7 +220,7 @@ class TestSessionLifecycle:
         status, config = client.request("GET", f"/sessions/{session_id}/config")
         assert status == 200
         assert config["version"] == 1
-        assert config["serving"]["shards"] == 1
+        assert "shards" not in config["serving"]
         assert config["serving"]["max_stale_answers"] == 7
         assert config["serving"]["refit_tol"] == 1e-3
         assert config["durability"]["snapshot_every_answers"] == 50
@@ -351,6 +347,9 @@ class TestErrorContract:
              "serving.max_stale_answers"),
             ({"version": 1, "schema": SCHEMA_SPEC, "serving": {"shards": 0}},
              "serving.shards"),
+            ({"version": 1, "schema": SCHEMA_SPEC,
+              "serving": {"processes": 2}},
+             "serving.processes"),
             ({"version": 1, "schema": SCHEMA_SPEC,
               "policy": {"bogus_knob": 1}},
              "policy.bogus_knob"),
@@ -498,7 +497,7 @@ class TestDurableSessionsOverHTTP:
                 "version": 1,
                 "schema": SCHEMA_SPEC,
                 "policy": {"model": dict(FAST_MODEL)},
-                "serving": {"shards": 2},
+                "serving": {"async_refit": True, "max_stale_answers": 3},
                 "durability": {"durable_dir": str(durable_dir),
                                "snapshot_every_answers": 10},
             }
@@ -508,9 +507,9 @@ class TestDurableSessionsOverHTTP:
         )
         assert manifest["format"] == 2
         spec = SessionSpec.from_dict(manifest["spec"])
-        assert spec.serving.shards == 2
+        assert spec.serving.max_stale_answers == 3
         assert spec.durability.durable_dir == str(durable_dir)
-        assert session.config_payload()["serving"]["shards"] == 2
+        assert session.config_payload()["serving"]["max_stale_answers"] == 3
         registry.close_all()
         # Recovery rebuilds the identical spec from the manifest alone.
         fresh = SessionRegistry()
@@ -552,16 +551,75 @@ class TestDurableSessionsOverHTTP:
 
     def test_parse_config_dialect_detection(self):
         envelope, spec = parse_config(
-            {"version": 1, "schema": SCHEMA_SPEC, "serving": {"shards": 3}}
+            {"version": 1, "schema": SCHEMA_SPEC,
+             "serving": {"max_stale_answers": 3}}
         )
         assert envelope == {"schema": SCHEMA_SPEC}
-        assert spec.serving.shards == 3
+        assert spec.serving.max_stale_answers == 3
         envelope, spec = parse_config(
-            {"schema": SCHEMA_SPEC, "serving": {"shards": 3},
+            {"schema": SCHEMA_SPEC, "serving": {"max_stale_answers": 3},
              "snapshot_every": 9}
         )
-        assert spec.serving.shards == 3
+        assert spec.serving.max_stale_answers == 3
         assert spec.durability.snapshot_every_answers == 9
+
+    def test_manifest_with_removed_serving_fields_recovers(self, tmp_path, caplog):
+        """A manifest pinning the sharded-era ``ServingSpec.to_dict()``
+        (``shards: 4`` and friends) recovers and continues bit-identically."""
+        import json as json_module
+
+        def drive(session, workers):
+            decisions = []
+            for worker in workers:
+                assignment = session.select(worker, k=2)
+                decisions.append(assignment.cells)
+                session.ingest(
+                    worker,
+                    [(row, col, "blue" if col == 0 else 42.0)
+                     for row, col in assignment.cells],
+                )
+            return decisions
+
+        config = _config(durable_dir=str(tmp_path / "reference"))
+        reference_registry = SessionRegistry()
+        reference = reference_registry.create(config)
+        _seed_registry(reference)
+        expected = drive(reference, ["w1", "w2", "w3", "w4"])
+        expected_estimates = reference.estimates()["estimates"]
+        reference_registry.close_all()
+
+        durable_dir = tmp_path / "sharded-era"
+        registry = SessionRegistry()
+        session = registry.create(_config(durable_dir=str(durable_dir)))
+        session_id = session.session_id
+        _seed_registry(session)
+        before = drive(session, ["w1", "w2"])
+        registry.close_all()
+        manifest_path = durable_dir / "session.json"
+        manifest = json_module.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["serving"] = {
+            "shards": 4,
+            "shard_workers": None,
+            "async_refit": False,
+            "max_stale_answers": 0,
+            "refit_tol": None,
+            "scoring_cache": True,
+            "processes": 0,
+            "audit": True,
+        }
+        manifest_path.write_text(json_module.dumps(manifest), encoding="utf-8")
+
+        fresh = SessionRegistry()
+        with caplog.at_level("INFO", logger="repro.service.registry"):
+            recovered = fresh.create({"durable_dir": str(durable_dir)})
+        assert recovered.session_id == session_id
+        assert "dropping removed serving fields" in caplog.text
+        assert "'shards'" in caplog.text and "'processes'" in caplog.text
+        assert "shards" not in recovered.config_payload()["serving"]
+        after = drive(recovered, ["w3", "w4"])
+        assert before + after == expected
+        assert recovered.estimates()["estimates"] == expected_estimates
+        fresh.close_all()
 
     def test_duplicate_session_id_rejected(self, tmp_path):
         registry = SessionRegistry()
@@ -685,6 +743,36 @@ class TestIngestionValidationAndLimits:
         assert "not finite" in body["error"], body
         status, body = client.request("GET", f"/sessions/{session_id}")
         assert body["answers_collected"] == 8, body
+        client.delete_session(session_id)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_model_is_a_strict_json_500(self, client):
+        """A finite but extreme answer (1e200) overflows EM into NaN
+        estimates; the service must answer 500 with a body that strict
+        JSON parses, never 200 with NaN tokens."""
+        import urllib.error
+        import urllib.request
+
+        def strict(raw):
+            def reject(token):
+                raise ValueError(f"non-JSON token {token}")
+
+            return json.loads(raw, parse_constant=reject)
+
+        session_id = client.create_session(_config())["session_id"]
+        _seed(client, session_id)
+        client.post_answers(session_id, "w-extreme", [(0, 1, 1e200)])
+        for path in (
+            f"/sessions/{session_id}/estimates",
+            f"/sessions/{session_id}/tasks?worker=w9&k=2",
+        ):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(client.base_url + path, timeout=30)
+            assert info.value.code == 500, path
+            body = strict(info.value.read())
+            assert "non-finite" in body["error"], body
+        status, stats = client.request("GET", f"/sessions/{session_id}")
+        assert status == 200 and stats["decisions_recorded"] == 0, stats
         client.delete_session(session_id)
 
     def test_oversized_body_is_413(self):
