@@ -544,6 +544,33 @@ class TestWorkerThreadEdgeCases:
         assert worker.drain(timeout=30.0) is True
         worker.close()
 
+    def test_jobs_run_under_the_short_switch_interval(self):
+        import sys
+
+        from repro.engine.refit_worker import BACKGROUND_SWITCH_INTERVAL_S, _RefitWorker
+
+        before = sys.getswitchinterval()
+        seen = []
+        started, release = threading.Event(), threading.Event()
+
+        def hold():
+            started.set()
+            release.wait()
+
+        first, second = _RefitWorker(), _RefitWorker()
+        first.submit(hold)
+        assert started.wait(timeout=30.0)
+        second.submit(lambda: seen.append(sys.getswitchinterval()))
+        assert second.drain(timeout=30.0) is True
+        # The first job is still running, so the interval stays short.
+        assert sys.getswitchinterval() == pytest.approx(BACKGROUND_SWITCH_INTERVAL_S)
+        release.set()
+        assert first.drain(timeout=30.0) is True
+        first.close()
+        second.close()
+        assert seen == [pytest.approx(BACKGROUND_SWITCH_INTERVAL_S)]
+        assert sys.getswitchinterval() == before
+
     def test_staleness_with_published_snapshot(self, tiny_schema):
         engine = AsyncRefitEngine(
             StubModel(), tiny_schema, max_stale_answers=100, clock=VirtualClock()
